@@ -10,8 +10,15 @@
 //   2. Perf trajectory: every timing lands in BENCH_core.json, including
 //      the FillCounts-dominated scan where the flat layout's target is
 //      >= 1.5x over the row-major reference.
+//   3. Skip-solver gate: SkipSolver::MaxSafeExtension (one root and one
+//      check per probability class) must return the same skip as the
+//      all-characters solver reimplemented here, on every tuple a real
+//      MSS scan examines, and be >= 1.3x faster under a uniform k=4 null.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "common/harness.h"
@@ -81,6 +88,95 @@ std::vector<std::pair<int64_t, int64_t>> MakeRanges(int64_t n, size_t count) {
     ranges.emplace_back(a, b);
   }
   return ranges;
+}
+
+/// Extended-precision cover quadratic q_c(x), as in core/chain_cover.cc.
+long double CoverQuadraticAt(int64_t y_c, double p_c, int64_t l, double x2_l,
+                             double budget, int64_t x) {
+  long double a = 1.0L - static_cast<long double>(p_c);
+  long double b = 2.0L * static_cast<long double>(y_c) -
+                  2.0L * static_cast<long double>(l) * p_c -
+                  static_cast<long double>(p_c) * budget;
+  long double c = (static_cast<long double>(x2_l) - budget) *
+                  static_cast<long double>(l) * p_c;
+  long double lx = static_cast<long double>(x);
+  return (a * lx + b) * lx + c;
+}
+
+/// The cover quadratic's positive root, branching on the sign of b as
+/// SkipSolver::CharacterRoot did before it selected operands instead.
+double ReferenceCharacterRoot(int64_t y_c, double p_c, int64_t l, double x2_l,
+                              double budget) {
+  double a = 1.0 - p_c;
+  double b = 2.0 * static_cast<double>(y_c) -
+             2.0 * static_cast<double>(l) * p_c - p_c * budget;
+  double c = (x2_l - budget) * static_cast<double>(l) * p_c;
+  if (c > 0.0) return 0.0;
+  double disc = b * b - 4.0 * a * c;
+  double sq = std::sqrt(disc);
+  if (b <= 0.0) return (-b + sq) / (2.0 * a);
+  return (-2.0 * c) / (b + sq);
+}
+
+/// The skip solver before probability classes, kept as the timing and
+/// identity reference: the floor of the smallest of k per-character
+/// roots, decremented while any of k long-double checks fails. Out of
+/// line, so that it pays a call as the library solver does.
+[[gnu::noinline]] int64_t AllCharactersMaxSafeExtension(
+    std::span<const double> probs, const int64_t* lo, const int64_t* hi,
+    int64_t l, double x2_l, double budget) {
+  if (x2_l > budget) return 0;
+  double min_root = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < probs.size(); ++c) {
+    double root =
+        ReferenceCharacterRoot(hi[c] - lo[c], probs[c], l, x2_l, budget);
+    if (root < min_root) min_root = root;
+  }
+  if (!(min_root > 0.0)) return 0;
+  if (min_root > 9.0e18) min_root = 9.0e18;
+  int64_t m = static_cast<int64_t>(std::floor(min_root));
+  if (m <= 0) return 0;
+  for (size_t c = 0; c < probs.size() && m > 0;) {
+    if (CoverQuadraticAt(hi[c] - lo[c], probs[c], l, x2_l, budget, m) >
+        0.0L) {
+      --m;
+      c = 0;
+      continue;
+    }
+    ++c;
+  }
+  return m;
+}
+
+/// One MaxSafeExtension call as an MSS scan makes it: the substring
+/// [start, end), its X² and the running best as the budget.
+struct SkipCall {
+  int64_t start;
+  int64_t end;
+  double x2;
+  double budget;
+};
+
+/// Replays core::FindMss's row loop over `counts` and records every call
+/// it makes to the skip solver, so the solver is timed on the counts,
+/// lengths and budgets of a real scan.
+void RecordMssSkipCalls(const seq::PrefixCounts& counts,
+                        const core::ChiSquareContext& ctx,
+                        std::vector<SkipCall>& calls) {
+  core::SkipSolver solver(ctx);
+  core::X2Kernel kernel(ctx);
+  const int64_t n = counts.sequence_size();
+  double best = 0.0;
+  for (int64_t i = n - 1; i >= 0; --i) {
+    const int64_t* lo = counts.BlockAt(i);
+    for (int64_t end = i + 1; end <= n;) {
+      const int64_t* hi = counts.BlockAt(end);
+      double x2 = kernel.EvaluateBlocks(lo, hi, end - i);
+      best = std::max(best, x2);
+      calls.push_back(SkipCall{i, end, x2, best});
+      end += solver.MaxSafeExtension(lo, hi, end - i, x2, best) + 1;
+    }
+  }
 }
 
 /// Bit-identity of the two layouts: every count vector and every X² value
@@ -225,6 +321,106 @@ int main() {
     });
     record(StrCat("skip_solver_k20_x", skip_reps), skip_ms);
   }
+
+  // -------------------------------------------------------- skip solver
+  // MaxSafeExtension on the calls of real MSS scans over 1024-symbol k=4
+  // null records (the size of perfbench wire_mixed records), against the
+  // all-characters reference. Under the uniform null the four characters
+  // form one probability class (one root, one check); Geometric(4) has
+  // four singleton classes and does the reference's per-character work.
+  // As in a scan, each call waits for the previous one: its budget carries
+  // a zero that the compiler cannot see through (the previous skip >> 63).
+  bool skips_identical = true;
+  double uniform_speedup = 0.0;
+  for (bool uniform : {true, false}) {
+    const int k = 4;
+    seq::MultinomialModel model = uniform
+                                      ? seq::MultinomialModel::Uniform(k)
+                                      : seq::MultinomialModel::Geometric(k);
+    core::ChiSquareContext ctx(model);
+    core::SkipSolver solver(ctx);
+    const int records = bench::FastMode() ? 2 : 8;
+    std::vector<seq::PrefixCounts> prefix;
+    std::vector<std::vector<SkipCall>> calls(records);
+    size_t total_calls = 0;
+    for (int r = 0; r < records; ++r) {
+      seq::Rng rng(7100 + 10 * r + (uniform ? 0 : 1));
+      prefix.emplace_back(seq::GenerateMultinomial(model, 1024, rng));
+      RecordMssSkipCalls(prefix.back(), ctx, calls[r]);
+      total_calls += calls[r].size();
+    }
+    auto sweep = [&](bool reference) {
+      int64_t sum = 0;
+      int64_t skip = 0;
+      for (int r = 0; r < records; ++r) {
+        const seq::PrefixCounts& counts = prefix[r];
+        for (const SkipCall& call : calls[r]) {
+          const int64_t* lo = counts.BlockAt(call.start);
+          const int64_t* hi = counts.BlockAt(call.end);
+          int64_t l = call.end - call.start;
+          double budget = call.budget + static_cast<double>(skip >> 63);
+          if (reference) {
+            skip = AllCharactersMaxSafeExtension(ctx.probs(), lo, hi, l,
+                                                 call.x2, budget);
+          } else {
+            skip = solver.MaxSafeExtension(lo, hi, l, call.x2, budget);
+          }
+          sum += skip;
+        }
+      }
+      return sum;
+    };
+    for (int r = 0; r < records; ++r) {
+      const seq::PrefixCounts& counts = prefix[r];
+      for (const SkipCall& call : calls[r]) {
+        const int64_t* lo = counts.BlockAt(call.start);
+        const int64_t* hi = counts.BlockAt(call.end);
+        int64_t l = call.end - call.start;
+        if (solver.MaxSafeExtension(lo, hi, l, call.x2, call.budget) !=
+            AllCharactersMaxSafeExtension(ctx.probs(), lo, hi, l, call.x2,
+                                          call.budget)) {
+          skips_identical = false;
+        }
+      }
+    }
+    // Best of 3, the two solvers alternating so that a slow stretch of
+    // the host does not fall on one side only.
+    const int reps = bench::FastMode() ? 2 : 8;
+    int64_t sink = 0;
+    double reference_ms = std::numeric_limits<double>::infinity();
+    double class_ms = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 3; ++run) {
+      reference_ms = std::min(reference_ms, bench::TimeMs([&] {
+        for (int rep = 0; rep < reps; ++rep) sink += sweep(true);
+      }));
+      class_ms = std::min(class_ms, bench::TimeMs([&] {
+        for (int rep = 0; rep < reps; ++rep) sink += sweep(false);
+      }));
+    }
+    double speedup = reference_ms / class_ms;
+    double ns_per_call =
+        class_ms * 1e6 / static_cast<double>(total_calls * reps);
+    std::string shape = uniform ? "uniform_k4" : "geometric_k4";
+    std::printf("skip solver (%s, %zu MSS calls x%d): all-characters %.1f "
+                "ns/call, probability classes %.1f ns/call, %.2fx "
+                "(sink %lld)\n",
+                shape.c_str(), total_calls, reps, ns_per_call * speedup,
+                ns_per_call, speedup, static_cast<long long>(sink));
+    table.AddRow({StrCat("skip_solver_reference_", shape),
+                  bench::FormatMs(reference_ms), "-"});
+    table.AddRow({StrCat("skip_solver_", shape), bench::FormatMs(class_ms),
+                  StrFormat("%.2fx", speedup)});
+    json.AddResult(StrCat("skip_solver_reference_", shape), reference_ms);
+    json.AddResult(StrCat("skip_solver_", shape), class_ms, speedup);
+    json.AddScalar(StrCat("skip_solver_", shape, "_per_call"), "ns",
+                   ns_per_call);
+    if (uniform) uniform_speedup = speedup;
+  }
+  std::printf("skip solver vs all-characters reference: %s\n",
+              skips_identical ? "identical skips" : "MISMATCH — BUG");
+  json.AddGate("skip_solver_identical", skips_identical);
+  json.AddGate("skip_solver_uniform_k4_speedup_1_3x",
+               skips_identical && uniform_speedup >= 1.3);
 
   std::printf("\n%s", table.Render().c_str());
   if (!json.Write()) return 1;

@@ -30,7 +30,12 @@ namespace core {
 /// character as argmax_c (2Y_c + x)/p_c with x not yet known (the argmax can
 /// depend on x when P is skewed). We implement the exact fixed point
 /// instead: the binding character is the one with the smallest root, so we
-/// take min_c over all k roots. See DESIGN.md §1.1.
+/// take the min over all k roots. Characters with bit-equal p_c form a
+/// probability class (ChiSquareContext::class_probs), and within a class the
+/// root shrinks as Y_c grows, so only the class's largest count can bind:
+/// the solver takes one root and one check per class, the min over the
+/// classes equals the min over all k characters, and a uniform null costs
+/// one root instead of k. See chain_cover.cc.
 
 /// X² of the chain cover λ(S, c, x) given the base substring's statistic.
 /// `x` may be fractional (used by tests to probe the bound's continuity).

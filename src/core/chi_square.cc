@@ -17,6 +17,21 @@ ChiSquareContext::ChiSquareContext(std::vector<double> probs,
   for (size_t i = 0; i < probs_.size(); ++i) {
     inv_probs_[i] = 1.0 / probs_[i];
   }
+  // Group characters by bit-equal probability, classes in order of their
+  // first member. O(k²) once per model; k <= 255.
+  class_offsets_.push_back(0);
+  std::vector<bool> grouped(probs_.size(), false);
+  for (size_t i = 0; i < probs_.size(); ++i) {
+    if (grouped[i]) continue;
+    class_probs_.push_back(probs_[i]);
+    for (size_t j = i; j < probs_.size(); ++j) {
+      if (!grouped[j] && probs_[j] == probs_[i]) {
+        grouped[j] = true;
+        class_members_.push_back(static_cast<uint8_t>(j));
+      }
+    }
+    class_offsets_.push_back(static_cast<uint8_t>(class_members_.size()));
+  }
 }
 
 ChiSquareContext::ChiSquareContext(const seq::MultinomialModel& model,

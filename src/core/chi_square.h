@@ -34,6 +34,18 @@ class ChiSquareContext {
   std::span<const double> probs() const { return probs_; }
   std::span<const double> inv_probs() const { return inv_probs_; }
 
+  /// Probability classes: the alphabet split into groups of characters
+  /// with bit-equal p_c, the per-model constants of core::SkipSolver
+  /// (within a class only the largest count can bind the cover bound, see
+  /// chain_cover.cc). Class g has probability class_probs()[g] and members
+  /// class_members()[class_offsets()[g] .. class_offsets()[g + 1]), in
+  /// symbol order; classes are in order of their first member. A uniform
+  /// model is one class of k members; an all-distinct model such as
+  /// Geometric is k singleton classes.
+  std::span<const double> class_probs() const { return class_probs_; }
+  std::span<const uint8_t> class_members() const { return class_members_; }
+  std::span<const uint8_t> class_offsets() const { return class_offsets_; }
+
   /// The fused X² range kernel resolved at build time. Scanners consume it
   /// through core::X2Kernel rather than calling it directly.
   X2RangeFn x2_range_fn() const { return x2_range_fn_; }
@@ -90,6 +102,9 @@ class ChiSquareContext {
 
   std::vector<double> probs_;
   std::vector<double> inv_probs_;
+  std::vector<double> class_probs_;
+  std::vector<uint8_t> class_members_;
+  std::vector<uint8_t> class_offsets_;
   // Initialized before x2_range_fn_ (declaration order): ResolveX2RangeFn
   // writes it while x2_range_fn_'s initializer runs.
   bool x2_simd_active_ = false;

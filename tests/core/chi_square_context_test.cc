@@ -1,5 +1,6 @@
 #include "core/chi_square.h"
 
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -17,6 +18,37 @@ TEST(ChiSquareContextTest, MakeValidates) {
   EXPECT_TRUE(ChiSquareContext::Make({0.5, 0.5}).ok());
   EXPECT_TRUE(ChiSquareContext::Make({0.5, 0.6}).status().IsInvalidArgument());
   EXPECT_TRUE(ChiSquareContext::Make({1.0}).status().IsInvalidArgument());
+}
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> values) {
+  return std::vector<T>(values.begin(), values.end());
+}
+
+TEST(ChiSquareContextTest, ProbabilityClassesGroupBitEqualProbabilities) {
+  ChiSquareContext uniform(seq::MultinomialModel::Uniform(4));
+  EXPECT_EQ(ToVector(uniform.class_probs()), std::vector<double>{0.25});
+  EXPECT_EQ(ToVector(uniform.class_members()),
+            (std::vector<uint8_t>{0, 1, 2, 3}));
+  EXPECT_EQ(ToVector(uniform.class_offsets()), (std::vector<uint8_t>{0, 4}));
+
+  // Classes in order of their first member; members in symbol order.
+  ChiSquareContext interleaved(
+      seq::MultinomialModel::Make({0.1, 0.4, 0.1, 0.3, 0.1}).value());
+  EXPECT_EQ(ToVector(interleaved.class_probs()),
+            (std::vector<double>{0.1, 0.4, 0.3}));
+  EXPECT_EQ(ToVector(interleaved.class_members()),
+            (std::vector<uint8_t>{0, 2, 4, 1, 3}));
+  EXPECT_EQ(ToVector(interleaved.class_offsets()),
+            (std::vector<uint8_t>{0, 3, 4, 5}));
+
+  // All-distinct probabilities: one singleton class per character.
+  ChiSquareContext geometric(seq::MultinomialModel::Geometric(5));
+  EXPECT_EQ(ToVector(geometric.class_probs()), ToVector(geometric.probs()));
+  EXPECT_EQ(ToVector(geometric.class_members()),
+            (std::vector<uint8_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(ToVector(geometric.class_offsets()),
+            (std::vector<uint8_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ChiSquareContextTest, EvaluateMatchesReferenceImplementation) {
