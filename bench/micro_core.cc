@@ -290,9 +290,6 @@ int main() {
     double topt_ms =
         bench::TimeMs([&] { core::FindTopT(counts2, ctx2, 100); });
     record("find_top_t_100_k2", topt_ms);
-    double parallel_ms = bench::TimeMs(
-        [&] { core::FindMssParallel(counts2, ctx2, /*num_threads=*/0); });
-    record("find_mss_parallel_hw", parallel_ms);
   }
 
   // ------------------------------------------------------- tight kernels

@@ -1,7 +1,7 @@
 // Batch mining a corpus through the query facade: build a small corpus of
 // binary series, fan a heterogeneous set of api::QuerySpecs across the
-// engine (including a kernel the legacy JobSpec surface never reached),
-// and show the result cache absorbing a repeated batch.
+// engine (the paper's problems plus a windowed MSS), and show the result
+// cache absorbing a repeated batch.
 //
 // Build: cmake --build build --target example_batch_corpus
 

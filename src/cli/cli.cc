@@ -18,20 +18,14 @@
 #include "common/fault_injection.h"
 #include "common/posix_io.h"
 #include "common/str_util.h"
-#include "core/min_length.h"
-#include "core/mss.h"
-#include "core/parallel.h"
+#include "core/scan_types.h"
 #include "core/significance.h"
 #include "core/streaming.h"
 #include "core/suffix_scan.h"
-#include "core/threshold.h"
-#include "core/top_disjoint.h"
-#include "core/top_t.h"
 #include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/engine_stats.h"
-#include "engine/job.h"
 #include "engine/stream_manager.h"
 #include "persist/journal.h"
 #include "server/client.h"
@@ -49,6 +43,9 @@ namespace {
 const char* const kCommands[] = {"mss",   "topt",       "threshold", "minlen",
                                  "score", "substrings", "batch",     "query",
                                  "stream", "serve",     "client"};
+
+/// Upper bound of --threads; 0 selects the hardware concurrency.
+constexpr int64_t kMaxThreads = 1024;
 
 /// Flags every command accepts.
 const char* const kCommonFlags[] = {"string", "input", "alphabet", "probs",
@@ -189,6 +186,10 @@ Result<std::string> LoadInput(const CliOptions& options) {
 Result<double> ResolveAlpha0(const CliOptions& options, int k,
                              std::ostream& out, const char* what) {
   double alpha0 = options.alpha0;
+  if (options.pvalue > 1.0) {
+    return Status::InvalidArgument(
+        StrCat("--pvalue must be in (0, 1], got ", options.pvalue));
+  }
   if (options.pvalue > 0.0) {
     alpha0 = stats::ChiSquareThresholdForPValue(options.pvalue, k);
     out << "alpha0 = " << StrFormat("%.4f", alpha0) << " (p-value "
@@ -225,14 +226,54 @@ engine::EngineOptions EngineOptionsFrom(const CliOptions& options) {
   return engine_options;
 }
 
-/// Executes the `batch` command: the job flags are spelled into one
-/// serialized query template, routed through api::ParseQuery (the same
-/// parser the `query` command uses — the flags cannot drift from the
-/// query grammar), replicated per record, and fanned across the engine.
+/// Parses `--job`: api::ParseQueryKind limited to the first five kinds
+/// (mss, topt, disjoint, threshold, minlen), the ones whose parameters
+/// have flags.
+Result<api::QueryKind> ParseJobFlag(const std::string& job) {
+  Result<api::QueryKind> kind = api::ParseQueryKind(job);
+  if (kind.ok() && *kind <= api::QueryKind::kMinLength) return kind;
+  return Status::InvalidArgument(
+      StrCat("unknown job kind \"", job,
+             "\" (expected mss|topt|disjoint|threshold|minlen)"));
+}
+
+/// Lowers the mining flags to one query of `kind` on record 0: the one
+/// flags-to-QuerySpec path of the single-string mining commands and of
+/// `batch`, which replicates it per record. Each command range-checks the
+/// flags first, in its own vocabulary. `alpha0` is the resolved X²
+/// cutoff; a set --alpha-p travels as the query's alpha_p and wins.
+api::QuerySpec QueryFromFlags(const CliOptions& options, api::QueryKind kind,
+                              double alpha0, int64_t max_matches) {
+  api::QuerySpec spec;
+  if (!options.probs.empty()) {
+    spec.model = api::ModelSpec::Multinomial(options.probs);
+  }
+  switch (kind) {
+    case api::QueryKind::kTopT:
+      spec.request = api::TopTQuery{options.t};
+      break;
+    case api::QueryKind::kTopDisjoint:
+      spec.request =
+          api::TopDisjointQuery{options.t, options.min_length, 0.0};
+      break;
+    case api::QueryKind::kThreshold:
+      spec.request =
+          api::ThresholdQuery{alpha0, options.alpha_p, max_matches};
+      break;
+    case api::QueryKind::kMinLength:
+      spec.request = api::MinLengthQuery{options.min_length};
+      break;
+    default:  // kMss: the default request.
+      break;
+  }
+  return spec;
+}
+
+/// Executes the `batch` command: the job flags are lowered to one query
+/// (QueryFromFlags), replicated per record, and fanned across the engine.
 Result<std::string> RunBatch(const CliOptions& options) {
   SIGSUB_ASSIGN_OR_RETURN(engine::Corpus corpus, LoadCorpus(options));
-  SIGSUB_ASSIGN_OR_RETURN(engine::JobKind kind,
-                          engine::ParseJobKind(options.job));
+  SIGSUB_ASSIGN_OR_RETURN(api::QueryKind kind, ParseJobFlag(options.job));
   const int k = corpus.alphabet().size();
 
   // Range checks the user expressed as flags are reported in flag
@@ -245,59 +286,31 @@ Result<std::string> RunBatch(const CliOptions& options) {
                " probabilities but the corpus alphabet has ", k,
                " symbols"));
   }
-  if ((kind == engine::JobKind::kTopT ||
-       kind == engine::JobKind::kTopDisjoint) &&
+  if ((kind == api::QueryKind::kTopT ||
+       kind == api::QueryKind::kTopDisjoint) &&
       options.t < 1) {
     return Status::InvalidArgument(
         StrCat("--t must be >= 1, got ", options.t));
   }
-  if ((kind == engine::JobKind::kMinLength ||
-       kind == engine::JobKind::kTopDisjoint) &&
+  if ((kind == api::QueryKind::kMinLength ||
+       kind == api::QueryKind::kTopDisjoint) &&
       options.min_length < 1) {
     return Status::InvalidArgument(
         StrCat("--min-length must be >= 1, got ", options.min_length));
   }
   std::ostringstream out;
-  std::string template_text;
-  switch (kind) {
-    case engine::JobKind::kMss:
-      template_text = "mss";
-      break;
-    case engine::JobKind::kTopT:
-      template_text = StrCat("topt:t=", options.t);
-      break;
-    case engine::JobKind::kTopDisjoint:
-      template_text = StrCat("disjoint:t=", options.t,
-                             ",min_length=", options.min_length);
-      break;
-    case engine::JobKind::kThreshold: {
-      // Cutoff precedence: --alpha-p (engine-side χ²(k−1) critical
-      // value) wins over --pvalue/--alpha0 (CLI-side resolution). A
-      // significance level is the principled spelling; a raw X² cutoff
-      // must not silently override it.
-      if (options.alpha_p >= 0.0) {
-        template_text = StrCat("threshold:alpha_p=",
-                               StrFormat("%.17g", options.alpha_p),
-                               ",max_matches=0");
-        break;
-      }
-      SIGSUB_ASSIGN_OR_RETURN(
-          double alpha0,
-          ResolveAlpha0(options, k, out, "batch --job=threshold"));
-      // Count + best only; rows stay one-per-record.
-      template_text = StrCat("threshold:alpha0=",
-                             StrFormat("%.17g", alpha0), ",max_matches=0");
-      break;
-    }
-    case engine::JobKind::kMinLength:
-      template_text = StrCat("minlen:min_length=", options.min_length);
-      break;
+  // Cutoff precedence: --alpha-p (engine-side χ²(k−1) critical value)
+  // wins over --pvalue/--alpha0 (CLI-side resolution). A significance
+  // level is the principled spelling; a raw X² cutoff must not silently
+  // override it.
+  double alpha0 = -1.0;
+  if (kind == api::QueryKind::kThreshold && options.alpha_p < 0.0) {
+    SIGSUB_ASSIGN_OR_RETURN(
+        alpha0, ResolveAlpha0(options, k, out, "batch --job=threshold"));
   }
-  SIGSUB_ASSIGN_OR_RETURN(api::QuerySpec query_template,
-                          api::ParseQuery(template_text));
-  if (!options.probs.empty()) {
-    query_template.model = api::ModelSpec::Multinomial(options.probs);
-  }
+  // Threshold jobs count + keep the best only; rows stay one-per-record.
+  const api::QuerySpec query_template =
+      QueryFromFlags(options, kind, alpha0, /*max_matches=*/0);
 
   engine::Engine engine(EngineOptionsFrom(options));
   std::vector<api::QuerySpec> queries(static_cast<size_t>(corpus.size()),
@@ -312,7 +325,7 @@ Result<std::string> RunBatch(const CliOptions& options) {
       << ", job = " << api::QueryKindToString(query_template.kind())
       << ", threads = " << engine.num_threads() << "\n";
 
-  if (kind == engine::JobKind::kThreshold) {
+  if (kind == api::QueryKind::kThreshold) {
     io::TableWriter table(
         {"record", "n", "matches", "best_start", "best_end", "best_X2"});
     for (const api::QueryResult& result : results) {
@@ -329,8 +342,8 @@ Result<std::string> RunBatch(const CliOptions& options) {
                         : std::string("-")});
     }
     out << table.Render();
-  } else if (kind == engine::JobKind::kTopT ||
-             kind == engine::JobKind::kTopDisjoint) {
+  } else if (kind == api::QueryKind::kTopT ||
+             kind == api::QueryKind::kTopDisjoint) {
     io::TableWriter table(
         {"record", "rank", "start", "end", "X2", "p-value"});
     for (const api::QueryResult& result : results) {
@@ -921,6 +934,122 @@ std::string RenderSubstring(const core::Substring& sub, int k,
   return out;
 }
 
+/// Executes the single-string mining commands (mss, topt, threshold,
+/// minlen) through the engine: the command's own flag checks, one query
+/// from QueryFromFlags over the one-record corpus `text`, and the
+/// command's rendering of the result. `k` is the alphabet size and
+/// `model_k` the size of the --probs model, validated by the caller.
+Result<std::string> RunMining(const CliOptions& options,
+                              const std::string& text,
+                              const std::string& alphabet_chars, int64_t n,
+                              int k, int model_k) {
+  api::QueryKind kind = api::QueryKind::kMss;
+  if (options.command == "topt") {
+    kind = options.disjoint ? api::QueryKind::kTopDisjoint
+                            : api::QueryKind::kTopT;
+  } else if (options.command == "threshold") {
+    kind = api::QueryKind::kThreshold;
+  } else if (options.command == "minlen") {
+    kind = api::QueryKind::kMinLength;
+  }
+  std::ostringstream out;
+  out << "n = " << n << ", k = " << model_k << "\n";
+
+  // Flag checks come first, in flag and kernel vocabulary (cli_test pins
+  // the wording); the engine's validation would name query fields.
+  if ((kind == api::QueryKind::kTopT ||
+       kind == api::QueryKind::kTopDisjoint) &&
+      options.t < 1) {
+    return Status::InvalidArgument(
+        StrCat("--t must be >= 1, got ", options.t));
+  }
+  double alpha0 = -1.0;
+  if (kind == api::QueryKind::kThreshold) {
+    SIGSUB_ASSIGN_OR_RETURN(alpha0,
+                            ResolveAlpha0(options, model_k, out, "threshold"));
+  }
+  if (k != model_k) {
+    return Status::InvalidArgument(
+        StrCat("sequence alphabet size (", k, ") != model alphabet size (",
+               model_k, ")"));
+  }
+  if (kind == api::QueryKind::kTopDisjoint && options.min_length < 1) {
+    return Status::InvalidArgument(
+        StrCat("min_length must be >= 1, got ", options.min_length));
+  }
+  // The engine would answer a floor above n with an empty best; a
+  // single-string report has no row to show for it, so it is an error.
+  if (kind == api::QueryKind::kMinLength &&
+      (options.min_length < 1 || options.min_length > n)) {
+    return Status::InvalidArgument(StrCat("min_length must be in [1, ", n,
+                                          "], got ", options.min_length));
+  }
+
+  // Only `mss` takes --threads. Shards at any length: a pool of
+  // min(threads, n) workers, so --threads=1 runs the sequential kernel.
+  int64_t threads = options.threads;
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  engine::EngineOptions engine_options;
+  engine_options.num_threads = static_cast<int>(std::min(threads, n));
+  engine_options.cache_capacity = 0;  // One query: nothing to reuse.
+  engine_options.shard_min_sequence = 1;
+  engine_options.x2_dispatch = options.x2_dispatch;
+  engine::Engine engine(engine_options);
+  SIGSUB_ASSIGN_OR_RETURN(
+      engine::Corpus corpus,
+      engine::Corpus::FromStrings({text}, alphabet_chars));
+  // The single-string threshold report lists up to 1000 matches.
+  SIGSUB_ASSIGN_OR_RETURN(
+      std::vector<api::QueryResult> results,
+      engine.ExecuteQueries(
+          corpus, {QueryFromFlags(options, kind, alpha0,
+                                  /*max_matches=*/1000)}));
+  const api::QueryResult& result = results[0];
+
+  switch (kind) {
+    case api::QueryKind::kMss:
+      out << RenderSubstring(result.best(), k, text);
+      out << "examined " << result.stats().positions_examined << " of "
+          << core::TrivialScanPositions(n) << " candidate positions\n";
+      break;
+    case api::QueryKind::kTopT:
+    case api::QueryKind::kTopDisjoint: {
+      io::TableWriter table({"rank", "start", "end", "X2", "p-value"});
+      std::span<const core::Substring> subs = result.substrings();
+      for (size_t i = 0; i < subs.size(); ++i) {
+        table.AddRow({std::to_string(i + 1), std::to_string(subs[i].start),
+                      std::to_string(subs[i].end),
+                      StrFormat("%.4f", subs[i].chi_square),
+                      StrFormat("%.4g", core::SubstringPValue(
+                                            subs[i].chi_square, k))});
+      }
+      out << table.Render();
+      break;
+    }
+    case api::QueryKind::kThreshold: {
+      std::span<const core::Substring> matches = result.substrings();
+      out << result.match_count() << " substrings above " << alpha0;
+      if (result.match_count() > static_cast<int64_t>(matches.size())) {
+        out << " (showing " << matches.size() << ")";
+      }
+      out << "\n";
+      io::TableWriter table({"start", "end", "X2"});
+      for (const core::Substring& sub : matches) {
+        table.AddRow({std::to_string(sub.start), std::to_string(sub.end),
+                      StrFormat("%.4f", sub.chi_square)});
+      }
+      if (table.row_count() > 0) out << table.Render();
+      break;
+    }
+    default:  // kMinLength: the floor check above guarantees a window.
+      out << RenderSubstring(result.best(), k, text);
+      break;
+  }
+  return out.str();
+}
+
 }  // namespace
 
 std::string UsageText() {
@@ -987,7 +1116,9 @@ std::string UsageText() {
       "batch corpus:\n"
       "  --format=lines|csv             corpus layout (default lines)\n"
       "  --column=N --csv-header        CSV column selection\n"
-      "  --threads=N --cache=N          worker threads / cache entries\n"
+      "  --threads=N --cache=N          worker threads (0..1024, 0 = hardware\n"
+      "                                 concurrency; default 1) / cache\n"
+      "                                 entries\n"
       "  --shard-min=N                  split an MSS job across workers\n"
       "                                 when the record has >= N symbols\n"
       "                                 (default 2^20; 0 disables)\n"
@@ -1084,6 +1215,13 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
     } else if (name == "threads") {
       SIGSUB_ASSIGN_OR_RETURN(int64_t threads,
                               ParseInt(value, "--threads"));
+      // Range-checked before the narrowing cast: 4294967297 would wrap to
+      // 1, and a negative value would read as "hardware concurrency".
+      if (threads < 0 || threads > kMaxThreads) {
+        return Status::InvalidArgument(
+            StrCat("--threads must be in [0, ", kMaxThreads,
+                   "] (0 = hardware concurrency), got ", threads));
+      }
       options.threads = static_cast<int>(threads);
     } else if (name == "x2-dispatch") {
       if (!core::ParseX2Dispatch(value, &options.x2_dispatch)) {
@@ -1340,20 +1478,19 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       }
       return options;
     }
-    SIGSUB_ASSIGN_OR_RETURN(engine::JobKind kind,
-                            engine::ParseJobKind(options.job));
+    SIGSUB_ASSIGN_OR_RETURN(api::QueryKind kind, ParseJobFlag(options.job));
     // Job-parameter flags are only consumed by their own kind; reject the
     // rest so e.g. `--job=mss --pvalue=0.01` cannot silently do nothing.
     for (const std::string& flag : seen_flags) {
       bool relevant = true;
       if (flag == "t") {
-        relevant = kind == engine::JobKind::kTopT ||
-                   kind == engine::JobKind::kTopDisjoint;
+        relevant = kind == api::QueryKind::kTopT ||
+                   kind == api::QueryKind::kTopDisjoint;
       } else if (flag == "min-length") {
-        relevant = kind == engine::JobKind::kMinLength ||
-                   kind == engine::JobKind::kTopDisjoint;
+        relevant = kind == api::QueryKind::kMinLength ||
+                   kind == api::QueryKind::kTopDisjoint;
       } else if (flag == "alpha0" || flag == "pvalue" || flag == "alpha-p") {
-        relevant = kind == engine::JobKind::kThreshold;
+        relevant = kind == api::QueryKind::kThreshold;
       }
       if (!relevant) {
         return Status::InvalidArgument(
@@ -1412,11 +1549,11 @@ Result<std::string> Run(const CliOptions& options) {
   // a malformed spec is a hard error rather than silently testing
   // nothing).
   SIGSUB_RETURN_IF_ERROR(fault::ArmFromEnv());
-  // Single-string commands build their ChiSquareContexts inside the core
-  // convenience overloads, so the dispatch knob is applied process-wide
-  // for this invocation (the batch engine additionally pins it in its
-  // EngineOptions). Every Run() sets it, so a later invocation without
-  // the flag restores the auto default.
+  // `score` and `substrings --positions` build their ChiSquareContexts
+  // directly, so the dispatch knob is applied process-wide for this
+  // invocation (every engine additionally pins it in its EngineOptions).
+  // Every Run() sets it, so a later invocation without the flag restores
+  // the auto default.
   core::SetDefaultX2Dispatch(options.x2_dispatch);
   // An explicit --x2-dispatch earns a report of what actually resolved:
   // `simd` on a host without AVX2 silently degrades to scalar inside the
@@ -1459,94 +1596,23 @@ Result<std::string> Run(const CliOptions& options) {
   SIGSUB_ASSIGN_OR_RETURN(seq::MultinomialModel model,
                           seq::MultinomialModel::Make(std::move(probs)));
 
+  if (options.command != "score") {
+    return with_banner(RunMining(options, text, alphabet_chars,
+                                 sequence.size(), alphabet.size(),
+                                 model.alphabet_size()));
+  }
+  // `score` is a point evaluation, not a query kind: a direct core call.
   const int k = model.alphabet_size();
   std::ostringstream out;
   out << "n = " << sequence.size() << ", k = " << k << "\n";
-
-  if (options.command == "mss") {
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::MssResult result,
-        core::FindMssParallel(sequence, model, options.threads));
-    out << RenderSubstring(result.best, k, text);
-    out << "examined " << result.stats.positions_examined << " of "
-        << core::TrivialScanPositions(sequence.size())
-        << " candidate positions\n";
-  } else if (options.command == "topt") {
-    if (options.t < 1) {
-      return Status::InvalidArgument(StrCat("--t must be >= 1, got ",
-                                            options.t));
-    }
-    io::TableWriter table({"rank", "start", "end", "X2", "p-value"});
-    if (options.disjoint) {
-      core::TopDisjointOptions disjoint;
-      disjoint.t = options.t;
-      disjoint.min_length = options.min_length;
-      SIGSUB_ASSIGN_OR_RETURN(std::vector<core::Substring> subs,
-                              core::FindTopDisjoint(sequence, model,
-                                                    disjoint));
-      for (size_t i = 0; i < subs.size(); ++i) {
-        table.AddRow({std::to_string(i + 1), std::to_string(subs[i].start),
-                      std::to_string(subs[i].end),
-                      StrFormat("%.4f", subs[i].chi_square),
-                      StrFormat("%.4g", core::SubstringPValue(
-                                            subs[i].chi_square, k))});
-      }
-    } else {
-      SIGSUB_ASSIGN_OR_RETURN(core::TopTResult result,
-                              core::FindTopT(sequence, model, options.t));
-      for (size_t i = 0; i < result.top.size(); ++i) {
-        const core::Substring& sub = result.top[i];
-        table.AddRow({std::to_string(i + 1), std::to_string(sub.start),
-                      std::to_string(sub.end),
-                      StrFormat("%.4f", sub.chi_square),
-                      StrFormat("%.4g",
-                                core::SubstringPValue(sub.chi_square, k))});
-      }
-    }
-    out << table.Render();
-  } else if (options.command == "threshold") {
-    SIGSUB_ASSIGN_OR_RETURN(double alpha0,
-                            ResolveAlpha0(options, k, out, "threshold"));
-    core::ThresholdOptions threshold;
-    threshold.max_matches = 1000;
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::ThresholdResult result,
-        core::FindAboveThreshold(sequence, model, alpha0, threshold));
-    out << result.match_count << " substrings above " << alpha0;
-    if (result.match_count >
-        static_cast<int64_t>(result.matches.size())) {
-      out << " (showing " << result.matches.size() << ")";
-    }
-    out << "\n";
-    io::TableWriter table({"start", "end", "X2"});
-    for (const core::Substring& sub : result.matches) {
-      table.AddRow({std::to_string(sub.start), std::to_string(sub.end),
-                    StrFormat("%.4f", sub.chi_square)});
-    }
-    if (table.row_count() > 0) out << table.Render();
-  } else if (options.command == "minlen") {
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::MssResult result,
-        core::FindMssMinLength(sequence, model, options.min_length));
-    // `best` is only meaningful when a window satisfied the floor; a
-    // floor above n would otherwise render a bogus zero-length row with
-    // X² = 0 and p-value 1.
-    if (result.best.length() == 0) {
-      out << "no substring of length >= " << options.min_length
-          << " exists (n = " << sequence.size() << ")\n";
-    } else {
-      out << RenderSubstring(result.best, k, text);
-    }
-  } else if (options.command == "score") {
-    if (options.start < 0 || options.end < 0) {
-      return Status::InvalidArgument("score needs --start and --end");
-    }
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::ScoredSubstring scored,
-        core::ScoreSubstring(sequence, model, options.start, options.end));
-    out << RenderSubstring(scored.substring, k, text);
-    out << "G2 = " << StrFormat("%.4f", scored.g2) << "\n";
+  if (options.start < 0 || options.end < 0) {
+    return Status::InvalidArgument("score needs --start and --end");
   }
+  SIGSUB_ASSIGN_OR_RETURN(
+      core::ScoredSubstring scored,
+      core::ScoreSubstring(sequence, model, options.start, options.end));
+  out << RenderSubstring(scored.substring, k, text);
+  out << "G2 = " << StrFormat("%.4f", scored.g2) << "\n";
   return banner + out.str();
 }
 

@@ -43,7 +43,8 @@ namespace cli {
 ///   --pvalue=P           derive alpha0 from a per-substring p-value
 ///   --min-length=N       length floor (minlen, topt --disjoint, batch)
 ///   --start=I --end=J    substring to score (score)
-///   --threads=N          worker threads (mss, batch; default 1)
+///   --threads=N          worker threads (mss, batch, query, serve):
+///                        0..1024, 0 = hardware concurrency (default 1)
 /// Substrings-only flags (all-substrings mining over one record):
 ///   --top=N              keep the N highest-X² substrings (default 10;
 ///                        0 reports every match)

@@ -18,8 +18,9 @@ namespace sigsub {
 /// round-robin across per-worker deques; each worker services its own
 /// deque LIFO (hot caches) and steals FIFO from its neighbours when it
 /// runs dry, so a handful of long scans cannot strand short jobs behind
-/// them. This is the execution substrate for engine::Engine batches and
-/// for the sharded parallel MSS scan (core::FindMssParallel).
+/// them. This is the execution substrate for engine::Engine batches,
+/// including the in-record shards of one oversized MSS query
+/// (core::MssShardScan).
 ///
 /// Semantics:
 ///   - Submit() may be called from any thread, including pool workers.

@@ -1,11 +1,8 @@
 #include "core/parallel.h"
 
 #include <algorithm>
-#include <thread>
-#include <vector>
 
 #include "common/check.h"
-#include "common/str_util.h"
 #include "core/chain_cover.h"
 #include "core/x2_kernel.h"
 
@@ -62,50 +59,6 @@ MssResult MergeShardResults(std::span<const MssResult> shards) {
     result.stats.Merge(shards[s].stats);
   }
   return result;
-}
-
-MssResult FindMssParallel(const seq::PrefixCounts& counts,
-                          const ChiSquareContext& context, int num_threads) {
-  SIGSUB_CHECK(context.alphabet_size() == counts.alphabet_size());
-  const int64_t n = counts.sequence_size();
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_threads <= 0) num_threads = 1;
-  }
-  num_threads = static_cast<int>(
-      std::min<int64_t>(num_threads, std::max<int64_t>(1, n)));
-
-  AtomicMax shared_best;
-  if (num_threads == 1) {
-    return MssShardScan(counts, context, 0, 1, &shared_best);
-  }
-
-  std::vector<MssResult> per_shard(num_threads);
-  ThreadPool pool(num_threads);
-  for (int shard = 0; shard < num_threads; ++shard) {
-    MssResult* slot = &per_shard[static_cast<size_t>(shard)];
-    pool.Submit([&counts, &context, shard, num_threads, &shared_best, slot] {
-      *slot = MssShardScan(counts, context, shard, num_threads, &shared_best);
-    });
-  }
-  pool.Wait();
-  return MergeShardResults(per_shard);
-}
-
-Result<MssResult> FindMssParallel(const seq::Sequence& sequence,
-                                  const seq::MultinomialModel& model,
-                                  int num_threads) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
-  seq::PrefixCounts counts(sequence);
-  ChiSquareContext context(model);
-  return FindMssParallel(counts, context, num_threads);
 }
 
 }  // namespace core

@@ -102,9 +102,9 @@ struct QueryPlan {
   double min_x2 = -std::numeric_limits<double>::infinity();
 };
 
-Status QueryError(std::string_view label, size_t index, api::QueryKind kind,
+Status QueryError(size_t index, api::QueryKind kind,
                   const std::string& detail) {
-  return Status::InvalidArgument(StrCat(label, " ", index, " (",
+  return Status::InvalidArgument(StrCat("query ", index, " (",
                                         api::QueryKindToString(kind),
                                         "): ", detail));
 }
@@ -514,12 +514,6 @@ Engine::Engine(EngineOptions options)
 
 Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     const Corpus& corpus, const std::vector<api::QuerySpec>& queries) {
-  return ExecuteQueriesInternal(corpus, queries, "query");
-}
-
-Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
-    const Corpus& corpus, const std::vector<api::QuerySpec>& queries,
-    std::string_view label) {
   // One batch at a time per engine (the header's thread-safety contract);
   // a second concurrent batch would share per-batch plan state. Debug
   // builds catch the misuse at the entry point instead of as a race.
@@ -556,7 +550,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
     plan.kind = spec.kind();
     auto wrap = [&](const Status& status) {
       return status.ok() ? status
-                         : QueryError(label, i, plan.kind, status.message());
+                         : QueryError(i, plan.kind, status.message());
     };
     SIGSUB_RETURN_IF_ERROR(wrap(ValidateRequest(spec, corpus)));
     SIGSUB_RETURN_IF_ERROR(wrap(ValidateModel(spec.model, plan.kind, k)));
@@ -569,7 +563,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
       auto markov = seq::MarkovModel::Make(k, spec.model.transitions,
                                            std::move(initial));
       if (!markov.ok()) {
-        return QueryError(label, i, plan.kind,
+        return QueryError(i, plan.kind,
                           StrCat("field model: ", markov.status().message()));
       }
       markov_models.push_back(
@@ -588,9 +582,8 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
       auto context = core::ChiSquareContext::Make(probs, x2_dispatch_);
       if (!context.ok()) {
         models.erase(it);
-        return QueryError(
-            label, i, plan.kind,
-            StrCat("field model: ", context.status().message()));
+        return QueryError(i, plan.kind,
+                          StrCat("field model: ", context.status().message()));
       }
       it->second = std::make_unique<ModelState>(
           ModelState{std::move(context).value()});
@@ -768,59 +761,6 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueriesInternal(
                               std::memory_order_relaxed);
   batches_executed_.fetch_add(1, std::memory_order_relaxed);
   return results;
-}
-
-Result<std::vector<JobResult>> Engine::ExecuteBatch(
-    const Corpus& corpus, const std::vector<JobSpec>& jobs) {
-  std::vector<api::QuerySpec> queries;
-  queries.reserve(jobs.size());
-  for (const JobSpec& job : jobs) queries.push_back(ToQuerySpec(job));
-  SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> query_results,
-                          ExecuteQueriesInternal(corpus, queries, "job"));
-
-  std::vector<JobResult> results(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const api::QueryResult& from = query_results[i];
-    JobResult& to = results[i];
-    to.job_index = from.query_index;
-    to.sequence_index = from.sequence_index;
-    to.kind = jobs[i].kind;
-    to.cache_hit = from.cache_hit;
-    to.stats = from.stats();
-    if (const auto* best = std::get_if<api::BestPayload>(&from.payload)) {
-      // Legacy shape: always one entry, zero-length when nothing
-      // qualified.
-      to.best = best->best;
-      to.substrings = {best->best};
-      to.match_count = best->best.length() > 0 ? 1 : 0;
-    } else if (const auto* ranked =
-                   std::get_if<api::RankedPayload>(&from.payload)) {
-      to.substrings = ranked->ranked;
-      if (!to.substrings.empty()) to.best = to.substrings.front();
-      to.match_count = static_cast<int64_t>(to.substrings.size());
-    } else {
-      const auto& threshold = std::get<api::ThresholdPayload>(from.payload);
-      to.substrings = threshold.matches;
-      to.best = threshold.best;
-      to.match_count = threshold.match_count;
-    }
-  }
-  return results;
-}
-
-Result<std::vector<JobResult>> Engine::ExecuteUniform(const Corpus& corpus,
-                                                      JobKind kind,
-                                                      const JobParams& params) {
-  std::vector<JobSpec> jobs;
-  jobs.reserve(static_cast<size_t>(corpus.size()));
-  for (int64_t i = 0; i < corpus.size(); ++i) {
-    JobSpec spec;
-    spec.kind = kind;
-    spec.sequence_index = i;
-    spec.params = params;
-    jobs.push_back(std::move(spec));
-  }
-  return ExecuteBatch(corpus, jobs);
 }
 
 }  // namespace engine

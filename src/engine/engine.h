@@ -4,16 +4,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "api/query.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/x2_dispatch.h"
 #include "engine/corpus.h"
-#include "engine/job.h"
 #include "engine/result_cache.h"
-#include "engine/thread_pool.h"
 
 namespace sigsub {
 namespace engine {
@@ -28,9 +26,10 @@ struct EngineOptions {
   /// this many symbols long is split into strided shards
   /// (core::MssShardScan) that run concurrently on the pool, so one
   /// multi-megabyte record cannot pin a single worker. <= 0 disables
-  /// sharding. Sharded queries return the same X² value as the sequential
-  /// kernel (the witness among tied maxima may differ; see
-  /// core::FindMssParallel).
+  /// sharding; 1 shards every MSS query whose pool and record both allow
+  /// two or more shards (the CLI's `mss --threads=N`).
+  /// Sharded queries return the same X² value as the sequential kernel
+  /// (the witness among tied maxima may differ; see the class comment).
   int64_t shard_min_sequence = 1 << 20;
   /// Fused X² kernel implementation for every context this engine builds
   /// (CLI `--x2-dispatch`). kScalar pins the bit-reproducible scalar path
@@ -41,8 +40,9 @@ struct EngineOptions {
 /// Concurrent batch-mining engine: executes heterogeneous mining queries
 /// (every sequence kernel — mss, topt, disjoint, threshold, minlen,
 /// lenbound, arlm, agmm, blocked; multinomial or Markov null models) over
-/// a corpus of sequences. api::QuerySpec is the native job representation;
-/// the legacy JobSpec surface lowers into it (engine/job.h).
+/// a corpus of sequences. api::QuerySpec is the one job representation:
+/// the wire protocol, the CLI's mining commands and library callers all
+/// submit QuerySpecs through ExecuteQueries.
 ///
 /// Two things make a batch cheaper than issuing the same queries as
 /// independent `FindMss`-style calls:
@@ -67,7 +67,9 @@ struct EngineOptions {
 /// `shard_min_sequence` symbols long, which is split across the pool
 /// via core::MssShardScan: its X² value is still bit-identical to the
 /// sequential kernel's, but when several substrings tie at the maximum
-/// the reported witness may differ (the parallel-scan contract).
+/// the reported witness may differ with thread interleaving (the sharding
+/// contract). A sharded query's ScanStats still count every start
+/// position exactly once.
 ///
 /// Thread safety: one batch at a time per engine (calls from multiple
 /// threads must be serialized by the caller); the cache itself is
@@ -85,17 +87,6 @@ class Engine {
   /// and are reported as cache hits.
   Result<std::vector<api::QueryResult>> ExecuteQueries(
       const Corpus& corpus, const std::vector<api::QuerySpec>& queries);
-
-  /// Compatibility shim: lowers each JobSpec into an api::QuerySpec,
-  /// executes them natively, and reshapes the payloads into JobResults.
-  Result<std::vector<JobResult>> ExecuteBatch(const Corpus& corpus,
-                                              const std::vector<JobSpec>& jobs);
-
-  /// Convenience: one job of kind `kind` with `params` per corpus record,
-  /// scored under the uniform model.
-  Result<std::vector<JobResult>> ExecuteUniform(const Corpus& corpus,
-                                                JobKind kind,
-                                                const JobParams& params = {});
 
   int num_threads() const { return pool_.num_threads(); }
   CacheStats cache_stats() const { return cache_.stats(); }
@@ -119,13 +110,6 @@ class Engine {
   }
 
  private:
-  /// `label` names the unit in validation errors ("query" natively,
-  /// "job" through the JobSpec shim), so legacy callers keep legacy
-  /// wording.
-  Result<std::vector<api::QueryResult>> ExecuteQueriesInternal(
-      const Corpus& corpus, const std::vector<api::QuerySpec>& queries,
-      std::string_view label);
-
   ResultCache cache_;
   ThreadPool pool_;
   int64_t shard_min_sequence_;
@@ -133,7 +117,7 @@ class Engine {
   std::atomic<int64_t> queries_executed_{0};
   std::atomic<int64_t> batches_executed_{0};
   // Debug enforcement of the one-batch-at-a-time contract above: set for
-  // the duration of ExecuteQueriesInternal, SIGSUB_DCHECKed against
+  // the duration of ExecuteQueries, SIGSUB_DCHECKed against
   // reentry. Atomic (not GUARDED_BY a mutex) because the contract is
   // exactly that there is no concurrent batch to exclude.
   std::atomic<bool> batch_active_{false};

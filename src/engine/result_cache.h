@@ -44,10 +44,10 @@ struct CacheKeyHash {
   }
 };
 
-/// The kernel output stored per cache entry: everything a JobResult needs
-/// except the per-job identity fields. `counts`/`p_values` are populated
-/// only by substrings queries (parallel to `substrings`; empty for every
-/// other kind).
+/// The kernel output stored per cache entry: everything an
+/// api::QueryResult payload needs except the per-query identity fields.
+/// `counts`/`p_values` are populated only by substrings queries (parallel
+/// to `substrings`; empty for every other kind).
 struct CachedResult {
   std::vector<core::Substring> substrings;
   std::vector<int64_t> counts;

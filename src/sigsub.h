@@ -41,6 +41,7 @@
 #include "common/fault_injection.h"
 #include "common/mutex.h"
 #include "common/posix_io.h"
+#include "common/thread_pool.h"
 #include "core/agmm.h"
 #include "core/arlm.h"
 #include "core/blocked_scan.h"
@@ -65,10 +66,8 @@
 #include "engine/engine.h"
 #include "engine/engine_stats.h"
 #include "engine/fingerprint.h"
-#include "engine/job.h"
 #include "engine/result_cache.h"
 #include "engine/stream_manager.h"
-#include "engine/thread_pool.h"
 #include "io/csv.h"
 #include "io/date_axis.h"
 #include "io/market_sim.h"

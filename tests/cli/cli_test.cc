@@ -161,6 +161,29 @@ TEST(ParseArgsTest, RejectsOverflowingAndGarbageDoubles) {
   EXPECT_TRUE(ParseArgs({"threshold", "--string=01", "--alpha0=1e-320"}).ok());
 }
 
+TEST(ParseArgsTest, ThreadsOutsideZeroTo1024AreRejected) {
+  // Parsing only: no command runs, so no thread is started. Without the
+  // range check 4294967297 narrowed to 1, and 2147483648 to a negative
+  // count that read as "hardware concurrency".
+  for (const char* command : {"mss", "batch", "query", "serve"}) {
+    for (const char* threads :
+         {"--threads=-1", "--threads=1025", "--threads=2147483648",
+          "--threads=4294967297"}) {
+      auto status = ParseArgs({command, "--input=x", threads}).status();
+      ASSERT_TRUE(status.IsInvalidArgument()) << command << " " << threads;
+      EXPECT_NE(status.message().find("--threads"), std::string::npos)
+          << status.message();
+    }
+  }
+  // The bounds themselves parse; 0 keeps meaning hardware concurrency.
+  auto zero = ParseArgs({"mss", "--string=01", "--threads=0"});
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(zero->threads, 0);
+  auto max = ParseArgs({"mss", "--string=01", "--threads=1024"});
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->threads, 1024);
+}
+
 TEST(ParseArgsTest, ParsesShardMin) {
   auto options =
       ParseArgs({"batch", "--input=x", "--threads=4", "--shard-min=5000"});
@@ -361,6 +384,133 @@ TEST(RunTest, ParallelMssMatchesDefault) {
     return report.substr(0, report.find("examined"));
   };
   EXPECT_EQ(table_part(*single), table_part(*multi));
+}
+
+/// Runs one command line and returns its report, or the error text.
+std::string RunArgs(const std::vector<std::string>& args) {
+  auto options = ParseArgs(args);
+  if (!options.ok()) return options.status().ToString();
+  auto report = cli::Run(*options);
+  return report.ok() ? *report : report.status().ToString();
+}
+
+// Byte-exact reports of the single-string mining commands: any drift in
+// result, scan statistics or rendering shows here.
+
+TEST(PinnedReportTest, Mss) {
+  EXPECT_EQ(RunArgs({"mss", "--string=0101011111111110101", "--threads=1"}),
+            "n = 19, k = 2\n"
+            "start  end  length  X2       p-value \n"
+            "-------------------------------------\n"
+            "5      15   10      10.0000  0.001565\n"
+            "text: \"1111111111\"\n"
+            "examined 59 of 190 candidate positions\n");
+  EXPECT_EQ(RunArgs({"mss", "--string=0101011111111110101", "--threads=1",
+                     "--probs=0.3,0.7"}),
+            "n = 19, k = 2\n"
+            "start  end  length  X2      p-value\n"
+            "-----------------------------------\n"
+            "5      15   10      4.2857  0.03843\n"
+            "text: \"1111111111\"\n"
+            "examined 67 of 190 candidate positions\n");
+}
+
+TEST(PinnedReportTest, TopT) {
+  EXPECT_EQ(RunArgs({"topt", "--string=0101011111111110101", "--t=3"}),
+            "n = 19, k = 2\n"
+            "rank  start  end  X2       p-value \n"
+            "-----------------------------------\n"
+            "1     5      15   10.0000  0.001565\n"
+            "2     6      15   9.0000   0.0027  \n"
+            "3     5      14   9.0000   0.0027  \n");
+  EXPECT_EQ(RunArgs({"topt",
+                     "--string=000000001111111100000000111111110000000",
+                     "--t=2", "--disjoint", "--min-length=4"}),
+            "n = 39, k = 2\n"
+            "rank  start  end  X2      p-value \n"
+            "----------------------------------\n"
+            "1     24     32   8.0000  0.004678\n"
+            "2     16     24   8.0000  0.004678\n");
+}
+
+TEST(PinnedReportTest, Threshold) {
+  EXPECT_EQ(RunArgs({"threshold", "--string=00011111111100010", "--alpha0=6"}),
+            "n = 17, k = 2\n"
+            "8 substrings above 6\n"
+            "start  end  X2    \n"
+            "------------------\n"
+            "5      12   7.0000\n"
+            "4      11   7.0000\n"
+            "4      12   8.0000\n"
+            "3      10   7.0000\n"
+            "3      11   8.0000\n"
+            "3      12   9.0000\n"
+            "3      13   6.4000\n"
+            "2      12   6.4000\n");
+  EXPECT_EQ(
+      RunArgs({"threshold", "--string=00011111111100010", "--pvalue=0.01"}),
+      "n = 17, k = 2\n"
+      "alpha0 = 6.6349 (p-value 0.01)\n"
+      "6 substrings above 6.6349\n"
+      "start  end  X2    \n"
+      "------------------\n"
+      "5      12   7.0000\n"
+      "4      11   7.0000\n"
+      "4      12   8.0000\n"
+      "3      10   7.0000\n"
+      "3      11   8.0000\n"
+      "3      12   9.0000\n");
+  // More matches than the report lists: the exact total, then the cap.
+  const std::string many = RunArgs(
+      {"threshold", "--string=" + std::string(50, '1'), "--alpha0=1"});
+  EXPECT_EQ(many.substr(0, many.find("start")),
+            "n = 50, k = 2\n1225 substrings above 1 (showing 1000)\n");
+}
+
+TEST(PinnedReportTest, Minlen) {
+  EXPECT_EQ(RunArgs({"minlen", "--string=01010111111010101010101010",
+                     "--min-length=10"}),
+            "n = 26, k = 2\n"
+            "start  end  length  X2      p-value\n"
+            "-----------------------------------\n"
+            "5      15   10      3.6000  0.05778\n"
+            "text: \"1111110101\"\n");
+}
+
+TEST(PinnedReportTest, FlagErrorsKeepTheirWording) {
+  // The engine would answer these edges differently (an empty best for a
+  // floor above n, query-layer field names); the commands keep their
+  // flag-level answers.
+  EXPECT_EQ(RunArgs({"minlen", "--string=0101", "--min-length=10"}),
+            "InvalidArgument: min_length must be in [1, 4], got 10");
+  EXPECT_EQ(RunArgs({"minlen", "--string=0101", "--min-length=0"}),
+            "InvalidArgument: min_length must be in [1, 4], got 0");
+  EXPECT_EQ(RunArgs({"topt", "--string=0101", "--t=0"}),
+            "InvalidArgument: --t must be >= 1, got 0");
+  EXPECT_EQ(RunArgs({"topt", "--string=0101", "--t=2", "--disjoint",
+                     "--min-length=0"}),
+            "InvalidArgument: min_length must be >= 1, got 0");
+  for (const char* command : {"mss", "topt", "minlen"}) {
+    EXPECT_EQ(RunArgs({command, "--string=0101", "--probs=0.2,0.3,0.5"}),
+              "InvalidArgument: sequence alphabet size (2) != model "
+              "alphabet size (3)")
+        << command;
+  }
+  EXPECT_EQ(RunArgs({"threshold", "--string=0101", "--alpha0=1",
+                     "--probs=0.2,0.3,0.5"}),
+            "InvalidArgument: sequence alphabet size (2) != model "
+            "alphabet size (3)");
+  EXPECT_EQ(RunArgs({"mss", "--string=0101", "--probs=0.5,0.6"}),
+            "InvalidArgument: probability vector must sum to 1, got 1.1");
+  EXPECT_EQ(RunArgs({"mss", "--string=0121", "--alphabet=01"}),
+            "NotFound: character '2' not in alphabet \"01\"");
+}
+
+TEST(RunTest, PValueAboveOneIsAnError) {
+  // A p-value above 1 has no critical value; it must be rejected before
+  // it reaches the distribution's precondition check.
+  EXPECT_EQ(RunArgs({"threshold", "--string=0101", "--pvalue=2"}),
+            "InvalidArgument: --pvalue must be in (0, 1], got 2");
 }
 
 TEST(BatchTest, LinesCorpusRoundTrip) {

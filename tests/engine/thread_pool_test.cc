@@ -1,4 +1,4 @@
-#include "engine/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <atomic>
 #include <cstdint>

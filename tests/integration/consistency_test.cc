@@ -72,9 +72,20 @@ TEST_P(ConsistencyFuzz, AllVariantsAgree) {
   ASSERT_TRUE(fast.ok());
   EXPECT_X2_EQ(fast->best.chi_square, optimum);
 
-  auto parallel = core::FindMssParallel(s, model, 3);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_X2_EQ(parallel->best.chi_square, optimum);
+  // Parallel MSS: the engine sharding the record across three workers.
+  const seq::Alphabet alphabet = seq::Alphabet::Canonical(s.alphabet_size());
+  auto corpus = engine::Corpus::FromStrings({s.ToString(alphabet)},
+                                            alphabet.characters());
+  ASSERT_TRUE(corpus.ok());
+  api::QuerySpec mss;
+  mss.model = api::ModelSpec::Multinomial(
+      std::vector<double>(model.probs().begin(), model.probs().end()));
+  engine::Engine sharded({.num_threads = 3,
+                          .cache_capacity = 0,
+                          .shard_min_sequence = 1});
+  auto parallel = sharded.ExecuteQueries(*corpus, {mss});
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_X2_EQ((*parallel)[0].best().chi_square, optimum);
 
   auto blocked = core::FindMssBlocked(s, model, 17);
   ASSERT_TRUE(blocked.ok());
