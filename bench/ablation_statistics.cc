@@ -1,4 +1,4 @@
-// Ablation A2 (DESIGN.md §3): Pearson X² vs the likelihood-ratio G²
+// Ablation A2: Pearson X² vs the likelihood-ratio G²
 // statistic (paper Section 1 discusses both; X² is adopted because it
 // converges to χ²(k−1) from below, reducing type-I errors).
 //

@@ -12,8 +12,8 @@ namespace sigsub {
 namespace core {
 
 /// AGMM baseline — reconstruction of the O(n) global-extrema heuristic of
-/// Dutta & Bhattacharya (PAKDD 2010), the paper's reference [9]. See
-/// DESIGN.md §2.1.
+/// Dutta & Bhattacharya (PAKDD 2010), the paper's reference [9]. The paper
+/// only summarizes [9] (Section 2), so this follows that summary.
 ///
 /// For each character c it locates the global maximum and the global
 /// minimum of the deviation walk W_c(j) = count_c(S[0..j)) − j·p_c and

@@ -72,14 +72,7 @@ MssResult FindMssBlocked(const seq::Sequence& sequence,
 Result<MssResult> FindMssBlocked(const seq::Sequence& sequence,
                                  const seq::MultinomialModel& model,
                                  int64_t block_size) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   if (block_size < 1) {
     return Status::InvalidArgument(
         StrCat("block_size must be >= 1, got ", block_size));

@@ -15,8 +15,9 @@ namespace core {
 
 /// Blocked exact scan — stand-in for the "blocking technique" of Agarwal's
 /// thesis (paper reference [2]), which the paper describes as a
-/// constant-factor (no asymptotic) improvement over the trivial scan. See
-/// DESIGN.md §2.1.
+/// constant-factor (no asymptotic) improvement over the trivial scan. The
+/// paper gives no detail of that technique, so this applies its own
+/// chain-cover bound to whole blocks instead.
 ///
 /// For each start position the ending positions are processed in blocks of
 /// `block_size`. Before descending into a block, a chain-cover bound over

@@ -1,10 +1,14 @@
 #ifndef SIGSUB_CORE_CHAIN_COVER_H_
 #define SIGSUB_CORE_CHAIN_COVER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
 #include "core/chi_square.h"
+#include "core/scan_types.h"
+#include "core/x2_kernel.h"
+#include "seq/prefix_counts.h"
 
 namespace sigsub {
 namespace core {
@@ -83,11 +87,93 @@ class SkipSolver {
 /// character t maximizing (2Y_t + x)/p_t with x approximated by the previous
 /// skip (we use x = 0, i.e. argmax Y_t/p_t biased by the cover), solve only
 /// that character's quadratic, and take the ceiling of the root. Kept for
-/// the ablation bench; unsound in degenerate corners (see DESIGN.md), so
-/// not used by the production scans.
+/// the ablation bench. Not used by the production scans: under a skewed P
+/// the argmax character need not be the binding one (its root need not be
+/// the smallest), so the skip can overshoot and miss the optimum.
 int64_t PaperSingleCharacterSkip(const ChiSquareContext& context,
                                  std::span<const int64_t> counts, int64_t l,
                                  double x2_l, double budget);
+
+/// The rows of one chain-cover scan: start rows first_start,
+/// first_start − stride, ... down to last_start (inclusive), and in row i
+/// the ends i + min_length .. min(range_end, i + max_length).
+struct ScanRows {
+  int64_t first_start = 0;
+  int64_t last_start = 0;
+  int64_t stride = 1;
+  int64_t min_length = 1;
+  int64_t max_length = INT64_MAX;
+  int64_t range_end = 0;
+};
+
+/// The chain-cover row loop of paper Algorithms 1-3, the one loop behind
+/// FindMssInRange (hence FindMss, FindMssMinLength and FindTopDisjoint),
+/// FindMssLengthBounded, FindTopT, FindAboveThreshold and MssShardScan.
+/// Each row pins its start block; each examined end is one fused X²
+/// evaluation, offered to the collector, after which the scan jumps over
+/// every end that the chain-cover bound proves cannot beat
+/// collector->budget(). The budget is read after the offer, so an
+/// insertion tightens the skip at once.
+///
+/// The scans differ only in their collector, which must provide
+///   bool Offer(const Substring& candidate);  // true if kept
+///   double budget() const;  // the X² a later substring must beat
+/// (TopTCollector is the model). It is a template parameter, not a
+/// virtual interface, so both calls inline into the hot loop.
+///
+/// Adds the scan's counters to *stats. positions_skipped counts only ends
+/// inside the row, so a skip past the row's last end is clamped there.
+template <typename Collector>
+void ChainCoverScan(const seq::PrefixCounts& counts,
+                    const ChiSquareContext& context, const ScanRows& rows,
+                    Collector* collector, ScanStats* stats) {
+  SkipSolver solver(context);
+  X2Kernel kernel(context);
+  ScanStats local;  // Kept off *stats so the counters stay in registers.
+  for (int64_t i = rows.first_start; i >= rows.last_start; i -= rows.stride) {
+    ++local.start_positions;
+    const int64_t* lo = counts.BlockAt(i);
+    const int64_t row_end = i + std::min(rows.max_length, rows.range_end - i);
+    int64_t end = i + rows.min_length;
+    while (end <= row_end) {
+      const int64_t* hi = counts.BlockAt(end);
+      const int64_t l = end - i;
+      const double x2 = kernel.EvaluateBlocks(lo, hi, l);
+      ++local.positions_examined;
+      collector->Offer(Substring{i, end, x2});
+      const int64_t skip =
+          solver.MaxSafeExtension(lo, hi, l, x2, collector->budget());
+      if (skip > 0) {
+        ++local.skip_events;
+        local.positions_skipped += std::min(skip, row_end - end);
+      }
+      end += skip + 1;
+    }
+  }
+  stats->Merge(local);
+}
+
+/// Collector for the best-so-far scans (MSS, minimum length, length
+/// bounded; paper Algorithm 1): keeps the highest-X² substring, the first
+/// offered winning ties, and skips against its X².
+class BestSoFarCollector {
+ public:
+  /// best() returns `empty` until something is offered.
+  explicit BestSoFarCollector(Substring empty) : best_(empty) {}
+
+  bool Offer(const Substring& candidate) {
+    if (found_ && !(candidate.chi_square > best_.chi_square)) return false;
+    best_ = candidate;
+    found_ = true;
+    return true;
+  }
+  double budget() const { return best_.chi_square; }
+  const Substring& best() const { return best_; }
+
+ private:
+  Substring best_;
+  bool found_ = false;
+};
 
 }  // namespace core
 }  // namespace sigsub

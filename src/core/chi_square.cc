@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/str_util.h"
 #include "stats/count_statistics.h"
 
 namespace sigsub {
@@ -86,6 +87,19 @@ void ChiSquareContext::Incremental::Extend(uint8_t symbol) {
                    context_->inv_probs_[symbol];
   ++counts_[symbol];
   ++length_;
+}
+
+Status ValidateScanInput(const seq::Sequence& sequence,
+                         const seq::MultinomialModel& model) {
+  if (sequence.empty()) {
+    return Status::InvalidArgument("sequence is empty; it has no substrings");
+  }
+  if (sequence.alphabet_size() != model.alphabet_size()) {
+    return Status::InvalidArgument(
+        StrCat("sequence alphabet size (", sequence.alphabet_size(),
+               ") != model alphabet size (", model.alphabet_size(), ")"));
+  }
+  return Status::OK();
 }
 
 }  // namespace core

@@ -9,6 +9,7 @@
 #include "core/x2_dispatch.h"
 #include "seq/model.h"
 #include "seq/prefix_counts.h"
+#include "seq/sequence.h"
 
 namespace sigsub {
 namespace core {
@@ -110,6 +111,13 @@ class ChiSquareContext {
   bool x2_simd_active_ = false;
   X2RangeFn x2_range_fn_;
 };
+
+/// The checks every sequence-level scan entry point makes before building
+/// its PrefixCounts and ChiSquareContext: the sequence is non-empty and its
+/// alphabet matches the model's. Kind-specific checks (t, min_length, ...)
+/// stay with each scan.
+Status ValidateScanInput(const seq::Sequence& sequence,
+                         const seq::MultinomialModel& model);
 
 }  // namespace core
 }  // namespace sigsub

@@ -1,12 +1,10 @@
 #include "core/length_bounded.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/check.h"
 #include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
@@ -15,14 +13,7 @@ namespace {
 Status ValidateInput(const seq::Sequence& sequence,
                      const seq::MultinomialModel& model, int64_t min_length,
                      int64_t max_length) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   if (min_length < 1 || min_length > sequence.size()) {
     return Status::InvalidArgument(
         StrCat("min_length must be in [1, ", sequence.size(), "], got ",
@@ -45,39 +36,15 @@ MssResult FindMssLengthBounded(const seq::PrefixCounts& counts,
   SIGSUB_CHECK(min_length >= 1 && max_length >= min_length);
   const int64_t n = counts.sequence_size();
   MssResult result;
-  result.best = Substring{0, 0, 0.0};
-  if (n < min_length) return result;
-
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  double best = 0.0;
-  bool found = false;
-  for (int64_t i = n - min_length; i >= 0; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t row_end = std::min(n, i + max_length);
-    int64_t end = i + min_length;
-    while (end <= row_end) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      if (x2 > best || !found) {
-        best = x2;
-        found = true;
-        result.best = Substring{i, end, x2};
-      }
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, best);
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, row_end);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+  BestSoFarCollector collector(Substring{0, 0, 0.0});
+  ChainCoverScan(counts, context,
+                 {.first_start = n - min_length,
+                  .last_start = 0,
+                  .min_length = min_length,
+                  .max_length = max_length,
+                  .range_end = n},
+                 &collector, &result.stats);
+  result.best = collector.best();
   return result;
 }
 

@@ -17,14 +17,7 @@ MssResult FindMssMinLength(const seq::PrefixCounts& counts,
 Result<MssResult> FindMssMinLength(const seq::Sequence& sequence,
                                    const seq::MultinomialModel& model,
                                    int64_t min_length) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   if (min_length < 1 || min_length > sequence.size()) {
     return Status::InvalidArgument(
         StrCat("min_length must be in [1, ", sequence.size(), "], got ",

@@ -1,31 +1,10 @@
 #include "core/mss.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/check.h"
-#include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
-namespace {
-
-Status ValidateInput(const seq::Sequence& sequence,
-                     const seq::MultinomialModel& model) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 MssResult FindMssInRange(const seq::PrefixCounts& counts,
                          const ChiSquareContext& context, int64_t range_start,
@@ -34,44 +13,19 @@ MssResult FindMssInRange(const seq::PrefixCounts& counts,
   SIGSUB_CHECK(range_start >= 0 && range_end <= counts.sequence_size());
   SIGSUB_CHECK(min_length >= 1);
 
-  MssResult result;
-  result.best = Substring{range_start, range_start, 0.0};
-  if (range_end - range_start < min_length) return result;
-
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  double best = 0.0;
-  bool found = false;
-
   // Paper Algorithm 1: outer loop over start positions (the paper goes
   // i = n..1; direction does not affect correctness or the analysis), inner
-  // loop over ending positions with chain-cover skips. The start block is
-  // pinned per row; each candidate is one fused pass over two blocks.
-  for (int64_t i = range_end - min_length; i >= range_start; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + min_length;
-    while (end <= range_end) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      if (x2 > best || !found) {
-        best = x2;
-        found = true;
-        result.best = Substring{i, end, x2};
-      }
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, best);
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, range_end);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+  // loop over ending positions with chain-cover skips against the best X²
+  // so far.
+  MssResult result;
+  BestSoFarCollector collector(Substring{range_start, range_start, 0.0});
+  ChainCoverScan(counts, context,
+                 {.first_start = range_end - min_length,
+                  .last_start = range_start,
+                  .min_length = min_length,
+                  .range_end = range_end},
+                 &collector, &result.stats);
+  result.best = collector.best();
   return result;
 }
 
@@ -83,7 +37,7 @@ MssResult FindMss(const seq::PrefixCounts& counts,
 
 Result<MssResult> FindMss(const seq::Sequence& sequence,
                           const seq::MultinomialModel& model) {
-  SIGSUB_RETURN_IF_ERROR(ValidateInput(sequence, model));
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   seq::PrefixCounts counts(sequence);
   ChiSquareContext context(model);
   return FindMss(counts, context);

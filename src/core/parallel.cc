@@ -1,13 +1,33 @@
 #include "core/parallel.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
+namespace {
+
+/// The shard's own best-so-far, published to the scan-wide maximum on
+/// every improvement; skips run against that shared maximum.
+class SharedBestCollector {
+ public:
+  explicit SharedBestCollector(AtomicMax* shared_best)
+      : shared_best_(shared_best) {}
+
+  bool Offer(const Substring& candidate) {
+    if (!local_.Offer(candidate)) return false;
+    shared_best_->Update(candidate.chi_square);
+    return true;
+  }
+  double budget() const { return shared_best_->load(); }
+  const Substring& best() const { return local_.best(); }
+
+ private:
+  BestSoFarCollector local_{Substring{0, 0, 0.0}};
+  AtomicMax* shared_best_;
+};
+
+}  // namespace
 
 MssResult MssShardScan(const seq::PrefixCounts& counts,
                        const ChiSquareContext& context, int shard,
@@ -16,36 +36,14 @@ MssResult MssShardScan(const seq::PrefixCounts& counts,
   SIGSUB_CHECK(shard >= 0 && shard < num_shards);
   const int64_t n = counts.sequence_size();
   MssResult local;
-  local.best = Substring{0, 0, 0.0};
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  bool found = false;
-  for (int64_t i = n - 1 - shard; i >= 0; i -= num_shards) {
-    ++local.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + 1;
-    while (end <= n) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++local.stats.positions_examined;
-      if (x2 > local.best.chi_square || !found) {
-        found = true;
-        local.best = Substring{i, end, x2};
-        shared_best->Update(x2);
-      }
-      int64_t skip =
-          solver.MaxSafeExtension(lo, hi, l, x2, shared_best->load());
-      if (skip > 0) {
-        ++local.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, n);
-        if (last_skipped > end) {
-          local.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+  SharedBestCollector collector(shared_best);
+  ChainCoverScan(counts, context,
+                 {.first_start = n - 1 - shard,
+                  .last_start = 0,
+                  .stride = num_shards,
+                  .range_end = n},
+                 &collector, &local.stats);
+  local.best = collector.best();
   return local;
 }
 

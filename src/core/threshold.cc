@@ -1,15 +1,45 @@
 #include "core/threshold.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/check.h"
 #include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
+namespace {
+
+/// Collects every substring with X² > alpha0 into a ThresholdResult: the
+/// first max_matches in scan order, the exact count and the best match.
+/// The budget stays fixed at alpha0 (paper Algorithm 3). On a match the
+/// skip solver returns 0 and the scan advances by one, the paper's
+/// max(..., 1).
+class ThresholdCollector {
+ public:
+  ThresholdCollector(double alpha0, int64_t max_matches,
+                     ThresholdResult* result)
+      : alpha0_(alpha0), max_matches_(max_matches), result_(result) {}
+
+  bool Offer(const Substring& candidate) {
+    if (!(candidate.chi_square > alpha0_)) return false;
+    if (result_->match_count == 0 ||
+        candidate.chi_square > result_->best.chi_square) {
+      result_->best = candidate;
+    }
+    ++result_->match_count;
+    if (static_cast<int64_t>(result_->matches.size()) < max_matches_) {
+      result_->matches.push_back(candidate);
+    }
+    return true;
+  }
+  double budget() const { return alpha0_; }
+
+ private:
+  double alpha0_;
+  int64_t max_matches_;
+  ThresholdResult* result_;
+};
+
+}  // namespace
 
 ThresholdResult FindAboveThreshold(const seq::PrefixCounts& counts,
                                    const ChiSquareContext& context,
@@ -18,45 +48,10 @@ ThresholdResult FindAboveThreshold(const seq::PrefixCounts& counts,
   SIGSUB_CHECK(options.max_matches >= 0);
   const int64_t n = counts.sequence_size();
   ThresholdResult result;
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-  bool found = false;
-
-  for (int64_t i = n - 1; i >= 0; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + 1;
-    while (end <= n) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      if (x2 > alpha0) {
-        Substring match{i, end, x2};
-        ++result.match_count;
-        if (static_cast<int64_t>(result.matches.size()) <
-            options.max_matches) {
-          result.matches.push_back(match);
-        }
-        if (!found || x2 > result.best.chi_square) {
-          found = true;
-          result.best = match;
-        }
-      }
-      // The budget stays fixed at alpha0 (paper Algorithm 3). When
-      // x2 > alpha0 the solver returns 0 and the scan advances by one —
-      // the paper's max(..., 1).
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, alpha0);
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, n);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+  ThresholdCollector collector(alpha0, options.max_matches, &result);
+  ChainCoverScan(counts, context,
+                 {.first_start = n - 1, .last_start = 0, .range_end = n},
+                 &collector, &result.stats);
   return result;
 }
 
@@ -64,14 +59,7 @@ Result<ThresholdResult> FindAboveThreshold(const seq::Sequence& sequence,
                                            const seq::MultinomialModel& model,
                                            double alpha0,
                                            ThresholdOptions options) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   if (options.max_matches < 0) {
     return Status::InvalidArgument(
         StrCat("max_matches must be >= 0, got ", options.max_matches));

@@ -58,14 +58,7 @@ std::vector<Substring> FindTopDisjoint(const seq::PrefixCounts& counts,
 Result<std::vector<Substring>> FindTopDisjoint(
     const seq::Sequence& sequence, const seq::MultinomialModel& model,
     TopDisjointOptions options) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   if (options.t < 1) {
     return Status::InvalidArgument(StrCat("t must be >= 1, got ", options.t));
   }

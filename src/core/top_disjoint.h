@@ -14,7 +14,8 @@
 namespace sigsub {
 namespace core {
 
-/// Greedy non-overlapping top-t (library extension; see DESIGN.md §5).
+/// Greedy non-overlapping top-t (a library extension, not one of the
+/// paper's four problems).
 ///
 /// The raw top-t of Problem 2 is dominated by overlapping shifts of the
 /// single best patch, while the paper's application tables (3 and 5)

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/str_util.h"
 #include "core/chain_cover.h"
-#include "core/x2_kernel.h"
 
 namespace sigsub {
 namespace core {
@@ -62,48 +61,19 @@ TopTResult FindTopT(const seq::PrefixCounts& counts,
   SIGSUB_CHECK(context.alphabet_size() == counts.alphabet_size());
   SIGSUB_CHECK(t >= 1);
   const int64_t n = counts.sequence_size();
+  // Skips run against the t-th best value (the paper's X²_max_t).
   TopTResult result;
   TopTCollector collector(t);
-  SkipSolver solver(context);
-  X2Kernel kernel(context);
-
-  for (int64_t i = n - 1; i >= 0; --i) {
-    ++result.stats.start_positions;
-    const int64_t* lo = counts.BlockAt(i);
-    int64_t end = i + 1;
-    while (end <= n) {
-      const int64_t* hi = counts.BlockAt(end);
-      int64_t l = end - i;
-      double x2 = kernel.EvaluateBlocks(lo, hi, l);
-      ++result.stats.positions_examined;
-      collector.Offer(Substring{i, end, x2});
-      // Skip against the t-th best value (paper's X²_max_t), re-read after
-      // the offer so insertions tighten the budget immediately.
-      int64_t skip = solver.MaxSafeExtension(lo, hi, l, x2, collector.budget());
-      if (skip > 0) {
-        ++result.stats.skip_events;
-        int64_t last_skipped = std::min(end + skip, n);
-        if (last_skipped > end) {
-          result.stats.positions_skipped += last_skipped - end;
-        }
-      }
-      end += skip + 1;
-    }
-  }
+  ChainCoverScan(counts, context,
+                 {.first_start = n - 1, .last_start = 0, .range_end = n},
+                 &collector, &result.stats);
   result.top = collector.TakeSortedDescending();
   return result;
 }
 
 Result<TopTResult> FindTopT(const seq::Sequence& sequence,
                             const seq::MultinomialModel& model, int64_t t) {
-  if (sequence.empty()) {
-    return Status::InvalidArgument("sequence is empty; it has no substrings");
-  }
-  if (sequence.alphabet_size() != model.alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("sequence alphabet size (", sequence.alphabet_size(),
-               ") != model alphabet size (", model.alphabet_size(), ")"));
-  }
+  SIGSUB_RETURN_IF_ERROR(ValidateScanInput(sequence, model));
   if (t < 1) {
     return Status::InvalidArgument(StrCat("t must be >= 1, got ", t));
   }

@@ -280,7 +280,8 @@ Status ValidateModel(const api::ModelSpec& model, api::QueryKind kind,
   return Status::OK();
 }
 
-/// Shapes a best-substring result (the six best-substring kernels and the
+/// Shapes a best-substring result (the seven best-substring kernels: MSS,
+/// min-length, length-bounded, ARLM, AGMM, blocked and Markov; and the
 /// sharded scan) into the cached payload — one place, so sharded and
 /// unsharded MSS queries cannot diverge in result shape.
 CachedResult MssCachedResult(const core::Substring& best) {

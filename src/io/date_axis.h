@@ -34,7 +34,9 @@ int DayOfWeek(const Date& d);
 
 /// Maps sequence positions to calendar dates, so application benchmarks can
 /// report periods the way the paper's tables do. Synthetic stand-in for the
-/// real datasets' timestamps (DESIGN.md §2.2).
+/// real datasets' timestamps: the paper's stock and sports series are not
+/// shipped with this repository, so the application benchmarks run on the
+/// seeded simulators of io/market_sim.h and io/sports_sim.h.
 class DateAxis {
  public:
   /// A sports schedule: `games_per_year` games per season, evenly spaced

@@ -22,8 +22,8 @@ struct MarketRegime {
 };
 
 /// Configuration of a synthetic daily up/down return series (stand-in for
-/// the Dow Jones / S&P 500 / IBM series of paper Section 7.5.2; see
-/// DESIGN.md §2.2).
+/// the Dow Jones / S&P 500 / IBM series of paper Section 7.5.2, which are
+/// not shipped with this repository).
 struct MarketConfig {
   std::string name;
   Date start_date{1928, 10, 1};

@@ -83,7 +83,7 @@ RivalrySeries RivalrySeries::Default() {
     return static_cast<int64_t>(year - config.start_year) *
            config.games_per_year;
   };
-  // Era layout mirrors the paper's Table 3 (see DESIGN.md §2.2): the
+  // Era layout mirrors the paper's Table 3 (Section 7.5.1): the
   // 1924-1933 Yankees dynasty, the 1911-1913 Red Sox glory years, plus the
   // three shorter patches the paper reports.
   config.eras = {

@@ -23,7 +23,8 @@ struct PlantedEra {
 };
 
 /// Configuration of the synthetic rivalry series (stand-in for the
-/// Yankees–Red Sox dataset of paper Section 7.5.1; see DESIGN.md §2.2).
+/// Yankees–Red Sox dataset of paper Section 7.5.1, which is not shipped
+/// with this repository).
 struct RivalryConfig {
   int start_year = 1901;
   int64_t num_games = 2086;   // ~the paper's "over two thousand games".
