@@ -394,6 +394,355 @@ std::string RunArgs(const std::vector<std::string>& args) {
   return report.ok() ? *report : report.status().ToString();
 }
 
+// The exact status string of every way the command line can be refused:
+// one argv per rejection branch of ParseArgs (each flag's bad value, each
+// switch given a value, each flag outside its commands, each command's
+// own rules) and per flag rule Run checks before mining. Each argv has
+// exactly one defect. Entries marked kUsage end with UsageText().
+TEST(GoldenWordingTest, EveryRejectionKeepsItsStatusString) {
+  constexpr bool kUsage = true;
+  struct Case {
+    std::vector<std::string> args;
+    std::string expected;
+    bool usage = false;
+  };
+  const Case cases[] = {
+      // Command and flag syntax.
+      {{},
+       "InvalidArgument: missing command\n", kUsage},
+      {{"bogus"},
+       "InvalidArgument: unknown command \"bogus\"\n", kUsage},
+      {{"mss", "string=01"},
+       "InvalidArgument: expected --flag=value, got \"string=01\""},
+      {{"mss", "--string=01", "--bogus=1"},
+       "InvalidArgument: unknown flag --bogus\n", kUsage},
+      // Bad numbers, one per integer flag (each under a command that takes it).
+      {{"topt", "--string=01", "--t=abc"},
+       "InvalidArgument: flag --t expects an integer, got \"abc\""},
+      {{"topt", "--string=01", "--t=99999999999999999999"},
+       "InvalidArgument: flag --t value \"99999999999999999999\" is out of "
+       "the 64-bit range"},
+      {{"minlen", "--string=01", "--min-length=abc"},
+       "InvalidArgument: flag --min-length expects an integer, got \"abc\""},
+      {{"substrings", "--string=01", "--top=abc"},
+       "InvalidArgument: flag --top expects an integer, got \"abc\""},
+      {{"substrings", "--string=01", "--max-length=abc"},
+       "InvalidArgument: flag --max-length expects an integer, got \"abc\""},
+      {{"substrings", "--string=01", "--min-count=abc"},
+       "InvalidArgument: flag --min-count expects an integer, got \"abc\""},
+      {{"score", "--string=01", "--start=abc"},
+       "InvalidArgument: flag --start expects an integer, got \"abc\""},
+      {{"score", "--string=01", "--end=abc"},
+       "InvalidArgument: flag --end expects an integer, got \"abc\""},
+      {{"mss", "--string=01", "--threads=abc"},
+       "InvalidArgument: flag --threads expects an integer, got \"abc\""},
+      {{"stream", "--string=01", "--max-window=abc"},
+       "InvalidArgument: flag --max-window expects an integer, got \"abc\""},
+      {{"stream", "--string=01", "--chunk=abc"},
+       "InvalidArgument: flag --chunk expects an integer, got \"abc\""},
+      {{"batch", "--input=c.txt", "--format=csv", "--column=abc"},
+       "InvalidArgument: flag --column expects an integer, got \"abc\""},
+      {{"batch", "--input=c.txt", "--cache=abc"},
+       "InvalidArgument: flag --cache expects an integer, got \"abc\""},
+      {{"batch", "--input=c.txt", "--shard-min=abc"},
+       "InvalidArgument: flag --shard-min expects an integer, got \"abc\""},
+      {{"serve", "--input=c.txt", "--port=abc"},
+       "InvalidArgument: flag --port expects an integer, got \"abc\""},
+      {{"serve", "--input=c.txt", "--max-clients=abc"},
+       "InvalidArgument: flag --max-clients expects an integer, got \"abc\""},
+      {{"serve", "--input=c.txt", "--max-queue=abc"},
+       "InvalidArgument: flag --max-queue expects an integer, got \"abc\""},
+      {{"serve", "--input=c.txt", "--max-inflight=abc"},
+       "InvalidArgument: flag --max-inflight expects an integer, got \"abc\""},
+      {{"serve", "--input=c.txt", "--idle-timeout-ms=abc"},
+       "InvalidArgument: flag --idle-timeout-ms expects an integer, got "
+       "\"abc\""},
+      {{"serve", "--input=c.txt", "--max-runtime-ms=abc"},
+       "InvalidArgument: flag --max-runtime-ms expects an integer, got "
+       "\"abc\""},
+      {{"serve", "--input=c.txt", "--state-dir=d",
+        "--snapshot-interval-ms=abc"},
+       "InvalidArgument: flag --snapshot-interval-ms expects an integer, got "
+       "\"abc\""},
+      {{"client", "--port=9000", "--send=PING", "--timeout-ms=abc"},
+       "InvalidArgument: flag --timeout-ms expects an integer, got \"abc\""},
+      {{"client", "--port=9000", "--send=PING", "--linger-ms=abc"},
+       "InvalidArgument: flag --linger-ms expects an integer, got \"abc\""},
+      {{"client", "--port=9000", "--send=PING", "--retries=abc"},
+       "InvalidArgument: flag --retries expects an integer, got \"abc\""},
+      {{"client", "--port=9000", "--send=PING", "--backoff-ms=abc"},
+       "InvalidArgument: flag --backoff-ms expects an integer, got \"abc\""},
+      // Bad numbers, one per floating-point flag, and --probs.
+      {{"threshold", "--string=01", "--alpha0=abc"},
+       "InvalidArgument: flag --alpha0 expects a number, got \"abc\""},
+      {{"threshold", "--string=01", "--alpha0=1e999"},
+       "InvalidArgument: flag --alpha0 value \"1e999\" overflows a double"},
+      {{"threshold", "--string=01", "--pvalue=abc"},
+       "InvalidArgument: flag --pvalue expects a number, got \"abc\""},
+      {{"substrings", "--string=01", "--alpha-p=abc"},
+       "InvalidArgument: flag --alpha-p expects a number, got \"abc\""},
+      {{"stream", "--string=01", "--alpha=abc"},
+       "InvalidArgument: flag --alpha expects a number, got \"abc\""},
+      {{"mss", "--string=01", "--probs=0.5,x"},
+       "InvalidArgument: flag --probs expects a number, got \"x\""},
+      // Flags that parse in their own way.
+      {{"mss", "--string=01", "--threads=-1"},
+       "InvalidArgument: --threads must be in [0, 1024] (0 = hardware "
+       "concurrency), got -1"},
+      {{"mss", "--string=01", "--threads=1025"},
+       "InvalidArgument: --threads must be in [0, 1024] (0 = hardware "
+       "concurrency), got 1025"},
+      {{"mss", "--string=01", "--x2-dispatch=avx512"},
+       "InvalidArgument: flag --x2-dispatch expects auto, scalar, or simd, "
+       "got \"avx512\""},
+      // Switches given a value.
+      {{"topt", "--string=01", "--disjoint=1"},
+       "InvalidArgument: flag --disjoint does not take a value"},
+      {{"substrings", "--string=01", "--all=1"},
+       "InvalidArgument: flag --all does not take a value"},
+      {{"substrings", "--string=01", "--positions=1"},
+       "InvalidArgument: flag --positions does not take a value"},
+      {{"substrings", "--string=01", "--mmap=1"},
+       "InvalidArgument: flag --mmap does not take a value"},
+      {{"batch", "--input=c.txt", "--format=csv", "--csv-header=false"},
+       "InvalidArgument: flag --csv-header does not take a value"},
+      {{"batch", "--input=c.txt", "--verbose=1"},
+       "InvalidArgument: flag --verbose does not take a value"},
+      {{"topt", "--string=01", "--min-length=3"},
+       "InvalidArgument: flag --min-length is only consumed by topt with "
+       "--disjoint"},
+      // serve.
+      {{"serve", "--string=01"},
+       "InvalidArgument: serve mines a corpus file; use --input=PATH, not "
+       "--string"},
+      {{"serve"},
+       "InvalidArgument: serve requires --input=PATH (the corpus the daemon "
+       "serves)"},
+      {{"serve", "--input=c.txt", "--probs=0.5,0.5"},
+       "InvalidArgument: flag --probs is not consumed by serve; stream "
+       "models arrive with STREAM.CREATE and query models inside each QUERY"},
+      {{"serve", "--input=c.txt", "--format=bogus"},
+       "InvalidArgument: --format must be lines or csv, got \"bogus\""},
+      {{"serve", "--input=c.txt", "--column=1"},
+       "InvalidArgument: flag --column requires --format=csv"},
+      {{"serve", "--input=c.txt", "--csv-header"},
+       "InvalidArgument: flag --csv-header requires --format=csv"},
+      {{"serve", "--input=c.txt", "--port=-1"},
+       "InvalidArgument: --port must be in [0, 65535], got -1"},
+      {{"serve", "--input=c.txt", "--port=65536"},
+       "InvalidArgument: --port must be in [0, 65535], got 65536"},
+      {{"serve", "--input=c.txt", "--cache=-1"},
+       "InvalidArgument: --cache must be >= 0, got -1"},
+      {{"serve", "--input=c.txt", "--max-clients=0"},
+       "InvalidArgument: --max-clients, --max-queue and --max-inflight must "
+       "be >= 1"},
+      {{"serve", "--input=c.txt", "--max-queue=0"},
+       "InvalidArgument: --max-clients, --max-queue and --max-inflight must "
+       "be >= 1"},
+      {{"serve", "--input=c.txt", "--max-inflight=0"},
+       "InvalidArgument: --max-clients, --max-queue and --max-inflight must "
+       "be >= 1"},
+      {{"serve", "--input=c.txt", "--state-dir=d", "--fsync=sometimes"},
+       "InvalidArgument: fsync policy must be none|always, got \"sometimes\""},
+      {{"serve", "--input=c.txt", "--state-dir=d", "--snapshot-interval-ms=-1"},
+       "InvalidArgument: --snapshot-interval-ms must be >= 0, got -1"},
+      {{"serve", "--input=c.txt", "--fsync=none"},
+       "InvalidArgument: flag --fsync requires --state-dir"},
+      {{"serve", "--input=c.txt", "--snapshot-interval-ms=10"},
+       "InvalidArgument: flag --snapshot-interval-ms requires --state-dir"},
+      // client.
+      {{"client", "--port=9000", "--send=PING", "--string=01"},
+       "InvalidArgument: flag --string is not consumed by client"},
+      {{"client", "--port=9000", "--send=PING", "--alphabet=01"},
+       "InvalidArgument: flag --alphabet is not consumed by client"},
+      {{"client", "--port=9000", "--send=PING", "--probs=0.5,0.5"},
+       "InvalidArgument: flag --probs is not consumed by client"},
+      {{"client", "--port=9000", "--send=PING", "--x2-dispatch=scalar"},
+       "InvalidArgument: flag --x2-dispatch is not consumed by client"},
+      {{"client", "--send=PING"},
+       "InvalidArgument: client requires --port in [1, 65535], got 0"},
+      {{"client", "--port=65536", "--send=PING"},
+       "InvalidArgument: client requires --port in [1, 65535], got 65536"},
+      {{"client", "--port=9000"},
+       "InvalidArgument: client needs --send=CMD (repeatable) and/or "
+       "--input=SCRIPT (one command per line; - reads stdin)"},
+      {{"client", "--port=9000", "--send=PING", "--timeout-ms=0"},
+       "InvalidArgument: --timeout-ms must be >= 1, got 0"},
+      {{"client", "--port=9000", "--send=PING", "--linger-ms=-1"},
+       "InvalidArgument: --linger-ms must be >= 0, got -1"},
+      {{"client", "--port=9000", "--send=PING", "--retries=-1"},
+       "InvalidArgument: --retries must be >= 0, got -1"},
+      {{"client", "--port=9000", "--send=PING", "--backoff-ms=0"},
+       "InvalidArgument: --backoff-ms must be >= 1, got 0"},
+      // batch.
+      {{"batch", "--string=0101"},
+       "InvalidArgument: batch mines a corpus file; use --input=PATH, not "
+       "--string"},
+      {{"batch"},
+       "InvalidArgument: batch requires --input=PATH"},
+      {{"batch", "--input=c.txt", "--format=bogus"},
+       "InvalidArgument: --format must be lines or csv, got \"bogus\""},
+      {{"batch", "--input=c.txt", "--column=1"},
+       "InvalidArgument: flag --column requires --format=csv"},
+      {{"batch", "--input=c.txt", "--csv-header"},
+       "InvalidArgument: flag --csv-header requires --format=csv"},
+      {{"batch", "--input=c.txt", "--cache=-1"},
+       "InvalidArgument: --cache must be >= 0, got -1"},
+      {{"batch", "--input=c.txt", "--job=threshold", "--alpha-p=0"},
+       "InvalidArgument: --alpha-p must be in (0, 1), got 0"},
+      {{"batch", "--input=c.txt", "--job=threshold", "--alpha-p=1"},
+       "InvalidArgument: --alpha-p must be in (0, 1), got 1"},
+      {{"batch", "--input=c.txt", "--job=bogus"},
+       "InvalidArgument: unknown job kind \"bogus\" (expected "
+       "mss|topt|disjoint|threshold|minlen)"},
+      {{"batch", "--input=c.txt", "--t=3"},
+       "InvalidArgument: flag --t is not consumed by --job=mss"},
+      {{"batch", "--input=c.txt", "--min-length=3"},
+       "InvalidArgument: flag --min-length is not consumed by --job=mss"},
+      {{"batch", "--input=c.txt", "--alpha0=5"},
+       "InvalidArgument: flag --alpha0 is not consumed by --job=mss"},
+      {{"batch", "--input=c.txt", "--pvalue=0.01"},
+       "InvalidArgument: flag --pvalue is not consumed by --job=mss"},
+      {{"batch", "--input=c.txt", "--alpha-p=0.01"},
+       "InvalidArgument: flag --alpha-p is not consumed by --job=mss"},
+      // query.
+      {{"query", "--query=mss"},
+       "InvalidArgument: query requires --input=PATH (or --string=TEXT)"},
+      {{"query", "--string=01", "--input=c.txt", "--query=mss"},
+       "InvalidArgument: --string and --input are exclusive"},
+      {{"query", "--string=01", "--query=mss", "--format=lines"},
+       "InvalidArgument: flag --format requires --input=PATH (a corpus "
+       "file), not --string"},
+      {{"query", "--string=01", "--query=mss", "--column=1"},
+       "InvalidArgument: flag --column requires --input=PATH (a corpus "
+       "file), not --string"},
+      {{"query", "--string=01", "--query=mss", "--csv-header"},
+       "InvalidArgument: flag --csv-header requires --input=PATH (a corpus "
+       "file), not --string"},
+      {{"query", "--input=c.txt", "--query=mss", "--format=bogus"},
+       "InvalidArgument: --format must be lines or csv, got \"bogus\""},
+      {{"query", "--input=c.txt", "--query=mss", "--column=1"},
+       "InvalidArgument: flag --column requires --format=csv"},
+      {{"query", "--input=c.txt", "--query=mss", "--csv-header"},
+       "InvalidArgument: flag --csv-header requires --format=csv"},
+      {{"query", "--input=c.txt", "--query=mss", "--cache=-1"},
+       "InvalidArgument: --cache must be >= 0, got -1"},
+      {{"query", "--input=c.txt"},
+       "InvalidArgument: query requires --query=SPEC (repeatable) or "
+       "--queries-file=PATH"},
+      {{"query", "--input=c.txt", "--query=mss", "--probs=0.5,0.5"},
+       "InvalidArgument: flag --probs is not consumed by query; put "
+       "model=probs(p1;p2;...) inside each query instead"},
+      // substrings.
+      {{"substrings", "--string=01", "--mmap"},
+       "InvalidArgument: flag --mmap maps a file; use --input=PATH, not "
+       "--string"},
+      {{"substrings", "--mmap"},
+       "InvalidArgument: flag --mmap requires --input=PATH"},
+      {{"substrings", "--string=01", "--all"},
+       "InvalidArgument: flag --all enumerates every distinct substring and "
+       "requires --max-length=N to bound the output"},
+      {{"substrings", "--string=01", "--alpha-p=0"},
+       "InvalidArgument: --alpha-p must be in (0, 1), got 0"},
+      {{"substrings", "--string=01", "--alpha-p=1.5"},
+       "InvalidArgument: --alpha-p must be in (0, 1), got 1.5"},
+      {{"substrings", "--string=01", "--cache=-1"},
+       "InvalidArgument: --cache must be >= 0, got -1"},
+      {{"substrings"},
+       "InvalidArgument: one of --string or --input is required"},
+      {{"substrings", "--string=01", "--input=c.txt"},
+       "InvalidArgument: --string and --input are exclusive"},
+      {{"substrings", "--string=0101", "--probs=0.3,0.3,0.4"},
+       "InvalidArgument: --probs has 3 probabilities but the record alphabet "
+       "has 2 symbols"},
+      // stream.
+      {{"stream"},
+       "InvalidArgument: one of --string or --input is required"},
+      {{"stream", "--string=01", "--input=c.txt"},
+       "InvalidArgument: --string and --input are exclusive"},
+      {{"stream", "--string="},
+       "InvalidArgument: stream input is empty"},
+      {{"stream", "--string=0101", "--alpha=0"},
+       "InvalidArgument: --alpha must be in (0, 1), got 0"},
+      {{"stream", "--string=0101", "--alpha=1"},
+       "InvalidArgument: --alpha must be in (0, 1), got 1"},
+      {{"stream", "--string=0101", "--max-window=0"},
+       "InvalidArgument: --max-window must be >= 1, got 0"},
+      {{"stream", "--string=0101", "--chunk=0"},
+       "InvalidArgument: --chunk must be >= 1, got 0"},
+      // The single-string commands.
+      {{"mss"},
+       "InvalidArgument: one of --string or --input is required"},
+      {{"mss", "--string=01", "--input=c.txt"},
+       "InvalidArgument: --string and --input are exclusive"},
+      {{"mss", "--string="},
+       "InvalidArgument: input string is empty"},
+      {{"threshold", "--string=0101"},
+       "InvalidArgument: threshold needs --alpha0 or --pvalue"},
+      {{"score", "--string=0101"},
+       "InvalidArgument: score needs --start and --end"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(RunArgs(c.args), c.usage ? c.expected + UsageText() : c.expected)
+        << StrJoin(c.args, " ");
+  }
+
+  // Every flag outside the commands that take it: score takes only
+  // --start and --end and refuses the rest, mss refuses those two.
+  auto not_valid = [](const std::string& flag, const std::string& command) {
+    const std::string name = flag.substr(2, flag.find('=') - 2);
+    return StrCat("InvalidArgument: flag --", name,
+                  " is not valid for command ", command, "\n", UsageText());
+  };
+  for (const std::string flag :
+       {"--t=1", "--disjoint", "--alpha0=1", "--pvalue=0.5", "--alpha-p=0.5",
+        "--query=mss", "--queries-file=q.txt", "--min-length=1", "--top=1",
+        "--max-length=1", "--min-count=1", "--all", "--positions", "--mmap",
+        "--threads=1", "--alpha=0.5", "--max-window=1", "--chunk=1",
+        "--job=mss", "--format=lines", "--column=1", "--csv-header",
+        "--cache=1", "--shard-min=1", "--verbose", "--port=1", "--host=h",
+        "--max-clients=1", "--max-queue=1", "--max-inflight=1",
+        "--idle-timeout-ms=1", "--max-runtime-ms=1", "--state-dir=d",
+        "--fsync=none", "--snapshot-interval-ms=1", "--send=PING",
+        "--timeout-ms=1", "--linger-ms=1", "--retries=1", "--backoff-ms=1"}) {
+    EXPECT_EQ(RunArgs({"score", "--string=01", flag}),
+              not_valid(flag, "score"));
+  }
+  for (const std::string flag : {"--start=0", "--end=1"}) {
+    EXPECT_EQ(RunArgs({"mss", "--string=01", flag}), not_valid(flag, "mss"));
+  }
+
+  // Run's flag rules over a corpus file.
+  const std::string path = ::testing::TempDir() + "/sigsub_cli_golden.txt";
+  ASSERT_TRUE(io::WriteTextFile(path, "0101\n").ok());
+  const std::string input = "--input=" + path;
+  const std::string empty = ::testing::TempDir() + "/sigsub_cli_golden_q.txt";
+  ASSERT_TRUE(io::WriteTextFile(empty, "# comments only\n").ok());
+  const Case file_cases[] = {
+      {{"batch", input, "--job=topt", "--t=0"},
+       "InvalidArgument: --t must be >= 1, got 0"},
+      {{"batch", input, "--job=minlen", "--min-length=0"},
+       "InvalidArgument: --min-length must be >= 1, got 0"},
+      {{"batch", input, "--job=threshold"},
+       "InvalidArgument: batch --job=threshold needs --alpha0 or --pvalue"},
+      {{"batch", input, "--job=threshold", "--pvalue=2"},
+       "InvalidArgument: --pvalue must be in (0, 1], got 2"},
+      {{"batch", input, "--probs=0.3,0.3,0.4"},
+       "InvalidArgument: --probs has 3 probabilities but the corpus "
+       "alphabet has 2 symbols"},
+      {{"query", input, "--queries-file=" + empty},
+       "InvalidArgument: query needs at least one --query=SPEC or a "
+       "non-empty --queries-file"},
+      {{"client", "--port=9", "--input=" + empty},
+       "InvalidArgument: client script is empty: nothing to send"},
+  };
+  for (const Case& c : file_cases) {
+    EXPECT_EQ(RunArgs(c.args), c.expected) << StrJoin(c.args, " ");
+  }
+  std::remove(path.c_str());
+  std::remove(empty.c_str());
+}
+
 // Byte-exact reports of the single-string mining commands: any drift in
 // result, scan statistics or rendering shows here.
 
