@@ -8,8 +8,11 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include <iostream>
 
@@ -40,75 +43,37 @@ namespace sigsub {
 namespace cli {
 namespace {
 
+/// The commands, in the order of their bits in Flag::commands.
 const char* const kCommands[] = {"mss",   "topt",       "threshold", "minlen",
                                  "score", "substrings", "batch",     "query",
                                  "stream", "serve",     "client"};
+enum CommandBit : uint32_t {
+  kMss = 1u << 0,
+  kTopt = 1u << 1,
+  kThreshold = 1u << 2,
+  kMinlen = 1u << 3,
+  kScore = 1u << 4,
+  kSubstrings = 1u << 5,
+  kBatch = 1u << 6,
+  kQuery = 1u << 7,
+  kStream = 1u << 8,
+  kServe = 1u << 9,
+  kClient = 1u << 10,
+  kEveryCommand = (1u << 11) - 1,
+};
 
 /// Upper bound of --threads; 0 selects the hardware concurrency.
 constexpr int64_t kMaxThreads = 1024;
 
-/// Flags every command accepts.
-const char* const kCommonFlags[] = {"string", "input", "alphabet", "probs",
-                                    "x2-dispatch"};
-
-/// Command-specific flags; anything else the user passes is rejected with
-/// an InvalidArgument naming the flag and the command.
-struct CommandFlags {
-  const char* command;
-  std::vector<const char*> flags;
-};
-
-const CommandFlags kCommandFlags[] = {
-    {"mss", {"threads"}},
-    {"topt", {"t", "disjoint", "min-length"}},
-    {"threshold", {"alpha0", "pvalue"}},
-    {"minlen", {"min-length"}},
-    {"score", {"start", "end"}},
-    {"substrings",
-     {"top", "min-length", "max-length", "min-count", "all", "positions",
-      "mmap", "alpha0", "alpha-p", "cache"}},
-    {"batch",
-     {"job", "format", "column", "csv-header", "threads", "cache",
-      "shard-min", "t", "min-length", "alpha0", "pvalue", "alpha-p",
-      "verbose"}},
-    {"query",
-     {"query", "queries-file", "format", "column", "csv-header", "threads",
-      "cache", "shard-min"}},
-    {"stream", {"alpha", "max-window", "chunk"}},
-    {"serve",
-     {"port", "host", "threads", "cache", "shard-min", "max-clients",
-      "max-queue", "max-inflight", "idle-timeout-ms", "max-runtime-ms",
-      "format", "column", "csv-header", "state-dir", "fsync",
-      "snapshot-interval-ms"}},
-    {"client",
-     {"port", "host", "send", "timeout-ms", "linger-ms", "retries",
-      "backoff-ms"}},
-};
-
-Status ValidateFlagsForCommand(const std::string& command,
-                               const std::vector<std::string>& seen_flags) {
-  const CommandFlags* entry = nullptr;
-  for (const CommandFlags& candidate : kCommandFlags) {
-    if (command == candidate.command) entry = &candidate;
-  }
-  for (const std::string& flag : seen_flags) {
-    bool allowed = false;
-    for (const char* common : kCommonFlags) {
-      if (flag == common) allowed = true;
-    }
-    if (entry != nullptr) {
-      for (const char* name : entry->flags) {
-        if (flag == name) allowed = true;
-      }
-    }
-    if (!allowed) {
-      return Status::InvalidArgument(StrCat(
-          "flag --", flag, " is not valid for command ", command, "\n",
-          UsageText()));
-    }
-  }
-  return Status::OK();
-}
+/// Upper bound of the integer flags whose values reach int arithmetic or
+/// size an allocation: the server's connection and in-flight caps are
+/// ints, the client makes retries + 1 attempts, the millisecond flags
+/// become now + N deadlines and poll(2)'s int timeout (the backoff after a
+/// jitter of up to 1.5x), and --max-window sizes the stream detector's
+/// byte ring. 10^9 keeps each below INT_MAX; in milliseconds it is about
+/// 11.6 days.
+constexpr int64_t kMaxIntFlag = 1'000'000'000;
+constexpr int64_t kNoMin = std::numeric_limits<int64_t>::min();
 
 Result<double> ParseDouble(const std::string& text, const std::string& flag) {
   char* end = nullptr;
@@ -146,13 +111,163 @@ Result<int64_t> ParseInt(const std::string& text, const std::string& flag) {
   return static_cast<int64_t>(value);
 }
 
-Result<std::vector<double>> ParseProbs(const std::string& text) {
+// The four flags that parse in their own way.
+
+Status ParseStringFlag(const std::string& value, CliOptions* options) {
+  options->input_text = value;
+  options->has_input_text = true;
+  return Status::OK();
+}
+
+Status ParseProbsFlag(const std::string& value, CliOptions* options) {
   std::vector<double> probs;
-  for (const std::string& part : StrSplit(text, ',')) {
+  for (const std::string& part : StrSplit(value, ',')) {
     SIGSUB_ASSIGN_OR_RETURN(double p, ParseDouble(part, "--probs"));
     probs.push_back(p);
   }
-  return probs;
+  options->probs = std::move(probs);
+  return Status::OK();
+}
+
+Status ParseThreadsFlag(const std::string& value, CliOptions* options) {
+  SIGSUB_ASSIGN_OR_RETURN(int64_t threads, ParseInt(value, "--threads"));
+  // Range-checked before the narrowing cast: 4294967297 would wrap to
+  // 1, and a negative value would read as "hardware concurrency".
+  if (threads < 0 || threads > kMaxThreads) {
+    return Status::InvalidArgument(
+        StrCat("--threads must be in [0, ", kMaxThreads,
+               "] (0 = hardware concurrency), got ", threads));
+  }
+  options->threads = static_cast<int>(threads);
+  return Status::OK();
+}
+
+Status ParseX2DispatchFlag(const std::string& value, CliOptions* options) {
+  if (!core::ParseX2Dispatch(value, &options->x2_dispatch)) {
+    return Status::InvalidArgument(
+        StrCat("flag --x2-dispatch expects auto, scalar, or simd, got \"",
+               value, "\""));
+  }
+  options->x2_dispatch_explicit = true;
+  return Status::OK();
+}
+
+/// Where a flag's value goes: a CliOptions field of one of five shapes
+/// (string, switch, int64, double, repeated string), or a parser of its
+/// own.
+using FlagParser = Status (*)(const std::string& value, CliOptions* options);
+using FlagTarget =
+    std::variant<std::string CliOptions::*, bool CliOptions::*,
+                 int64_t CliOptions::*, double CliOptions::*,
+                 std::vector<std::string> CliOptions::*, FlagParser>;
+
+/// One row of the flag table: the name, the commands that take the flag
+/// (CommandBit mask) and where its value goes. Integer flags refuse values
+/// outside [min, max], naming the flag. A row without a min leaves the
+/// lower bound to a rule with wording of its own (serve's three caps,
+/// stream's --max-window).
+struct Flag {
+  const char* name;
+  uint32_t commands;
+  FlagTarget target;
+  int64_t min = kNoMin;
+  int64_t max = std::numeric_limits<int64_t>::max();
+};
+
+/// Every flag: a flag missing here is unknown, and a flag given to a
+/// command outside its mask is refused naming both. Rules between flags
+/// live in ParseArgs; range checks that need the input (a --min-length
+/// against the record length, --t >= 1 per job) live with the command.
+constexpr Flag kFlags[] = {
+    {"string", kEveryCommand, ParseStringFlag},
+    {"input", kEveryCommand, &CliOptions::input_path},
+    {"alphabet", kEveryCommand, &CliOptions::alphabet},
+    {"probs", kEveryCommand, ParseProbsFlag},
+    {"x2-dispatch", kEveryCommand, ParseX2DispatchFlag},
+    {"threads", kMss | kBatch | kQuery | kServe, ParseThreadsFlag},
+    {"t", kTopt | kBatch, &CliOptions::t},
+    {"disjoint", kTopt, &CliOptions::disjoint},
+    {"min-length", kTopt | kMinlen | kSubstrings | kBatch,
+     &CliOptions::min_length},
+    {"alpha0", kThreshold | kSubstrings | kBatch, &CliOptions::alpha0},
+    {"pvalue", kThreshold | kBatch, &CliOptions::pvalue},
+    {"alpha-p", kSubstrings | kBatch, &CliOptions::alpha_p},
+    {"start", kScore, &CliOptions::start},
+    {"end", kScore, &CliOptions::end},
+    {"top", kSubstrings, &CliOptions::top},
+    {"max-length", kSubstrings, &CliOptions::max_length},
+    {"min-count", kSubstrings, &CliOptions::min_count},
+    {"all", kSubstrings, &CliOptions::all_substrings},
+    {"positions", kSubstrings, &CliOptions::positions},
+    {"mmap", kSubstrings, &CliOptions::mmap},
+    {"job", kBatch, &CliOptions::job},
+    {"verbose", kBatch, &CliOptions::verbose},
+    {"query", kQuery, &CliOptions::queries},
+    {"queries-file", kQuery, &CliOptions::queries_file},
+    {"format", kBatch | kQuery | kServe, &CliOptions::format},
+    {"column", kBatch | kQuery | kServe, &CliOptions::column},
+    {"csv-header", kBatch | kQuery | kServe, &CliOptions::csv_header},
+    {"cache", kSubstrings | kBatch | kQuery | kServe, &CliOptions::cache, 0},
+    {"shard-min", kBatch | kQuery | kServe, &CliOptions::shard_min},
+    {"alpha", kStream, &CliOptions::alpha},
+    {"max-window", kStream, &CliOptions::max_window, kNoMin, kMaxIntFlag},
+    {"chunk", kStream, &CliOptions::chunk},
+    {"port", kServe | kClient, &CliOptions::port},
+    {"host", kServe | kClient, &CliOptions::host},
+    {"max-clients", kServe, &CliOptions::max_clients, kNoMin, kMaxIntFlag},
+    {"max-queue", kServe, &CliOptions::max_queue},
+    {"max-inflight", kServe, &CliOptions::max_inflight, kNoMin, kMaxIntFlag},
+    {"idle-timeout-ms", kServe, &CliOptions::idle_timeout_ms},
+    {"max-runtime-ms", kServe, &CliOptions::max_runtime_ms, 0, kMaxIntFlag},
+    {"state-dir", kServe, &CliOptions::state_dir},
+    {"fsync", kServe, &CliOptions::fsync},
+    {"snapshot-interval-ms", kServe, &CliOptions::snapshot_interval_ms, 0},
+    {"send", kClient, &CliOptions::sends},
+    {"timeout-ms", kClient, &CliOptions::timeout_ms, 1, kMaxIntFlag},
+    {"linger-ms", kClient, &CliOptions::linger_ms, 0, kMaxIntFlag},
+    {"retries", kClient, &CliOptions::retries, 0, kMaxIntFlag},
+    {"backoff-ms", kClient, &CliOptions::backoff_ms, 1, kMaxIntFlag},
+};
+
+/// Parses `value` into the row's target.
+Status ApplyFlag(const Flag& flag, const std::string& value,
+                 CliOptions* options) {
+  const std::string dashed = StrCat("--", flag.name);
+  return std::visit(
+      [&](auto target) -> Status {
+        using Target = decltype(target);
+        if constexpr (std::is_same_v<Target, FlagParser>) {
+          return target(value, options);
+        } else if constexpr (std::is_same_v<Target, bool CliOptions::*>) {
+          // `--csv-header=false` must not silently enable the switch.
+          if (!value.empty()) {
+            return Status::InvalidArgument(
+                StrCat("flag ", dashed, " does not take a value"));
+          }
+          options->*target = true;
+        } else if constexpr (std::is_same_v<Target, int64_t CliOptions::*>) {
+          SIGSUB_ASSIGN_OR_RETURN(int64_t number, ParseInt(value, dashed));
+          if (number < flag.min) {
+            return Status::InvalidArgument(
+                StrCat(dashed, " must be >= ", flag.min, ", got ", number));
+          }
+          if (number > flag.max) {
+            return Status::InvalidArgument(
+                StrCat(dashed, " must be <= ", flag.max, ", got ", number));
+          }
+          options->*target = number;
+        } else if constexpr (std::is_same_v<Target, double CliOptions::*>) {
+          SIGSUB_ASSIGN_OR_RETURN(options->*target, ParseDouble(value, dashed));
+        } else if constexpr (std::is_same_v<Target,
+                                            std::vector<std::string>
+                                                CliOptions::*>) {
+          (options->*target).push_back(value);
+        } else {
+          options->*target = value;
+        }
+        return Status::OK();
+      },
+      flag.target);
 }
 
 /// Trims trailing newlines/whitespace, which files (and piped stdin)
@@ -224,6 +339,13 @@ engine::EngineOptions EngineOptionsFrom(const CliOptions& options) {
   engine_options.shard_min_sequence = options.shard_min;
   engine_options.x2_dispatch = options.x2_dispatch;
   return engine_options;
+}
+
+/// The last line of the engine-backed reports (batch, query, substrings).
+std::string CacheFooter(const engine::Engine& engine) {
+  const engine::CacheStats stats = engine.cache_stats();
+  return StrCat("cache: ", stats.hits, " hits, ", stats.misses, " misses (",
+                engine.cache_size(), " entries)\n");
 }
 
 /// Parses `--job`: api::ParseQueryKind limited to the first five kinds
@@ -390,9 +512,7 @@ Result<std::string> RunBatch(const CliOptions& options) {
     out << table.Render();
   }
 
-  engine::CacheStats cache_stats = engine.cache_stats();
-  out << "cache: " << cache_stats.hits << " hits, " << cache_stats.misses
-      << " misses (" << engine.cache_size() << " entries)\n";
+  out << CacheFooter(engine);
   if (options.verbose) {
     // The same snapshot + rendering the server's STATS endpoint uses
     // (engine/engine_stats.h) — one vocabulary for both surfaces.
@@ -489,9 +609,7 @@ Result<std::string> RunQuery(const CliOptions& options) {
   }
   out << table.Render();
 
-  engine::CacheStats cache_stats = engine.cache_stats();
-  out << "cache: " << cache_stats.hits << " hits, " << cache_stats.misses
-      << " misses (" << engine.cache_size() << " entries)\n";
+  out << CacheFooter(engine);
   return out.str();
 }
 
@@ -646,9 +764,7 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     add_row(i, payload.ranked[i], payload.counts[i], payload.p_values[i]);
   }
   if (table.row_count() > 0) out << table.Render();
-  engine::CacheStats cache_stats = engine.cache_stats();
-  out << "cache: " << cache_stats.hits << " hits, " << cache_stats.misses
-      << " misses (" << engine.cache_size() << " entries)\n";
+  out << CacheFooter(engine);
   return out.str();
 }
 
@@ -718,7 +834,6 @@ Result<std::string> RunStream(const CliOptions& options) {
   }
 
   engine::StreamManagerOptions manager_options;
-  manager_options.num_threads = 1;
   manager_options.max_alarms_per_stream = 1024;
   manager_options.x2_dispatch = options.x2_dispatch;
   engine::StreamManager manager(manager_options);
@@ -991,11 +1106,10 @@ Result<std::string> RunMining(const CliOptions& options,
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  engine::EngineOptions engine_options;
+  engine::EngineOptions engine_options = EngineOptionsFrom(options);
   engine_options.num_threads = static_cast<int>(std::min(threads, n));
   engine_options.cache_capacity = 0;  // One query: nothing to reuse.
   engine_options.shard_min_sequence = 1;
-  engine_options.x2_dispatch = options.x2_dispatch;
   engine::Engine engine(engine_options);
   SIGSUB_ASSIGN_OR_RETURN(
       engine::Corpus corpus,
@@ -1123,6 +1237,12 @@ std::string UsageText() {
       "                                 when the record has >= N symbols\n"
       "                                 (default 2^20; 0 disables)\n"
       "\n"
+      "limits:\n"
+      "  --max-clients, --max-inflight, --max-runtime-ms, --timeout-ms,\n"
+      "  --linger-ms, --retries, --backoff-ms, --max-window\n"
+      "                                 at most 1000000000 (in\n"
+      "                                 milliseconds, about 11.6 days)\n"
+      "\n"
       "flags that a command does not consume are rejected\n";
 }
 
@@ -1132,11 +1252,11 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   }
   CliOptions options;
   options.command = args[0];
-  bool known = false;
-  for (const char* command : kCommands) {
-    if (options.command == command) known = true;
+  uint32_t command = 0;
+  for (size_t i = 0; i < std::size(kCommands); ++i) {
+    if (options.command == kCommands[i]) command = 1u << i;
   }
-  if (!known) {
+  if (command == 0) {
     return Status::InvalidArgument(
         StrCat("unknown command \"", options.command, "\"\n", UsageText()));
   }
@@ -1147,240 +1267,49 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       return Status::InvalidArgument(
           StrCat("expected --flag=value, got \"", arg, "\""));
     }
-    std::string body = arg.substr(2);
-    size_t eq = body.find('=');
-    std::string name = body.substr(0, eq);
-    std::string value =
-        eq == std::string::npos ? std::string() : body.substr(eq + 1);
-    seen_flags.push_back(name);
-    if (name == "string") {
-      options.input_text = value;
-      options.has_input_text = true;
-    } else if (name == "input") {
-      options.input_path = value;
-    } else if (name == "alphabet") {
-      options.alphabet = value;
-    } else if (name == "probs") {
-      SIGSUB_ASSIGN_OR_RETURN(options.probs, ParseProbs(value));
-    } else if (name == "t") {
-      SIGSUB_ASSIGN_OR_RETURN(options.t, ParseInt(value, "--t"));
-    } else if (name == "disjoint") {
-      if (!value.empty()) {
-        return Status::InvalidArgument(
-            "flag --disjoint does not take a value");
-      }
-      options.disjoint = true;
-    } else if (name == "alpha0") {
-      SIGSUB_ASSIGN_OR_RETURN(options.alpha0, ParseDouble(value, "--alpha0"));
-    } else if (name == "pvalue") {
-      SIGSUB_ASSIGN_OR_RETURN(options.pvalue, ParseDouble(value, "--pvalue"));
-    } else if (name == "alpha-p") {
-      SIGSUB_ASSIGN_OR_RETURN(options.alpha_p,
-                              ParseDouble(value, "--alpha-p"));
-    } else if (name == "query") {
-      options.queries.push_back(value);
-    } else if (name == "queries-file") {
-      options.queries_file = value;
-    } else if (name == "min-length") {
-      SIGSUB_ASSIGN_OR_RETURN(options.min_length,
-                              ParseInt(value, "--min-length"));
-    } else if (name == "top") {
-      SIGSUB_ASSIGN_OR_RETURN(options.top, ParseInt(value, "--top"));
-    } else if (name == "max-length") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_length,
-                              ParseInt(value, "--max-length"));
-    } else if (name == "min-count") {
-      SIGSUB_ASSIGN_OR_RETURN(options.min_count,
-                              ParseInt(value, "--min-count"));
-    } else if (name == "all") {
-      if (!value.empty()) {
-        return Status::InvalidArgument("flag --all does not take a value");
-      }
-      options.all_substrings = true;
-    } else if (name == "positions") {
-      if (!value.empty()) {
-        return Status::InvalidArgument(
-            "flag --positions does not take a value");
-      }
-      options.positions = true;
-    } else if (name == "mmap") {
-      if (!value.empty()) {
-        return Status::InvalidArgument("flag --mmap does not take a value");
-      }
-      options.mmap = true;
-    } else if (name == "start") {
-      SIGSUB_ASSIGN_OR_RETURN(options.start, ParseInt(value, "--start"));
-    } else if (name == "end") {
-      SIGSUB_ASSIGN_OR_RETURN(options.end, ParseInt(value, "--end"));
-    } else if (name == "threads") {
-      SIGSUB_ASSIGN_OR_RETURN(int64_t threads,
-                              ParseInt(value, "--threads"));
-      // Range-checked before the narrowing cast: 4294967297 would wrap to
-      // 1, and a negative value would read as "hardware concurrency".
-      if (threads < 0 || threads > kMaxThreads) {
-        return Status::InvalidArgument(
-            StrCat("--threads must be in [0, ", kMaxThreads,
-                   "] (0 = hardware concurrency), got ", threads));
-      }
-      options.threads = static_cast<int>(threads);
-    } else if (name == "x2-dispatch") {
-      if (!core::ParseX2Dispatch(value, &options.x2_dispatch)) {
-        return Status::InvalidArgument(
-            StrCat("flag --x2-dispatch expects auto, scalar, or simd, got \"",
-                   value, "\""));
-      }
-      options.x2_dispatch_explicit = true;
-    } else if (name == "alpha") {
-      SIGSUB_ASSIGN_OR_RETURN(options.alpha, ParseDouble(value, "--alpha"));
-    } else if (name == "max-window") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_window,
-                              ParseInt(value, "--max-window"));
-    } else if (name == "chunk") {
-      SIGSUB_ASSIGN_OR_RETURN(options.chunk, ParseInt(value, "--chunk"));
-    } else if (name == "job") {
-      options.job = value;
-    } else if (name == "format") {
-      options.format = value;
-    } else if (name == "column") {
-      SIGSUB_ASSIGN_OR_RETURN(options.column, ParseInt(value, "--column"));
-    } else if (name == "csv-header") {
-      if (!value.empty()) {
-        // `--csv-header=false` must not silently enable header skipping.
-        return Status::InvalidArgument(
-            "flag --csv-header does not take a value");
-      }
-      options.csv_header = true;
-    } else if (name == "cache") {
-      SIGSUB_ASSIGN_OR_RETURN(options.cache, ParseInt(value, "--cache"));
-    } else if (name == "shard-min") {
-      SIGSUB_ASSIGN_OR_RETURN(options.shard_min,
-                              ParseInt(value, "--shard-min"));
-    } else if (name == "verbose") {
-      if (!value.empty()) {
-        return Status::InvalidArgument(
-            "flag --verbose does not take a value");
-      }
-      options.verbose = true;
-    } else if (name == "port") {
-      SIGSUB_ASSIGN_OR_RETURN(options.port, ParseInt(value, "--port"));
-    } else if (name == "host") {
-      options.host = value;
-    } else if (name == "max-clients") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_clients,
-                              ParseInt(value, "--max-clients"));
-    } else if (name == "max-queue") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_queue,
-                              ParseInt(value, "--max-queue"));
-    } else if (name == "max-inflight") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_inflight,
-                              ParseInt(value, "--max-inflight"));
-    } else if (name == "idle-timeout-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.idle_timeout_ms,
-                              ParseInt(value, "--idle-timeout-ms"));
-    } else if (name == "max-runtime-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.max_runtime_ms,
-                              ParseInt(value, "--max-runtime-ms"));
-    } else if (name == "state-dir") {
-      options.state_dir = value;
-    } else if (name == "fsync") {
-      options.fsync = value;
-    } else if (name == "snapshot-interval-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.snapshot_interval_ms,
-                              ParseInt(value, "--snapshot-interval-ms"));
-    } else if (name == "send") {
-      options.sends.push_back(value);
-    } else if (name == "timeout-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.timeout_ms,
-                              ParseInt(value, "--timeout-ms"));
-    } else if (name == "linger-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.linger_ms,
-                              ParseInt(value, "--linger-ms"));
-    } else if (name == "retries") {
-      SIGSUB_ASSIGN_OR_RETURN(options.retries,
-                              ParseInt(value, "--retries"));
-    } else if (name == "backoff-ms") {
-      SIGSUB_ASSIGN_OR_RETURN(options.backoff_ms,
-                              ParseInt(value, "--backoff-ms"));
-    } else {
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const std::string value =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&name](const Flag& row) { return name == row.name; });
+    if (flag == std::end(kFlags)) {
       return Status::InvalidArgument(
           StrCat("unknown flag --", name, "\n", UsageText()));
     }
+    if ((flag->commands & command) == 0) {
+      return Status::InvalidArgument(
+          StrCat("flag --", name, " is not valid for command ",
+                 options.command, "\n", UsageText()));
+    }
+    SIGSUB_RETURN_IF_ERROR(ApplyFlag(*flag, value, &options));
+    seen_flags.push_back(name);
   }
-  SIGSUB_RETURN_IF_ERROR(
-      ValidateFlagsForCommand(options.command, seen_flags));
-  if (options.command == "topt" && !options.disjoint) {
+  // The first of `names` given on the command line, or nullptr.
+  auto first_seen =
+      [&seen_flags](
+          std::initializer_list<const char*> names) -> const std::string* {
     for (const std::string& flag : seen_flags) {
-      if (flag == "min-length") {
-        return Status::InvalidArgument(
-            "flag --min-length is only consumed by topt with --disjoint");
+      for (const char* name : names) {
+        if (flag == name) return &flag;
       }
     }
+    return nullptr;
+  };
+
+  // Rules between flags, each in one place. A flag the command would
+  // silently ignore is an error, like a flag the command does not take.
+  if (command == kTopt && !options.disjoint && first_seen({"min-length"})) {
+    return Status::InvalidArgument(
+        "flag --min-length is only consumed by topt with --disjoint");
   }
-  if (options.command == "serve") {
-    if (options.has_input_text) {
+  if (command == kClient) {
+    if (const std::string* flag =
+            first_seen({"string", "alphabet", "probs", "x2-dispatch"})) {
       return Status::InvalidArgument(
-          "serve mines a corpus file; use --input=PATH, not --string");
-    }
-    if (options.input_path.empty()) {
-      return Status::InvalidArgument(
-          "serve requires --input=PATH (the corpus the daemon serves)");
-    }
-    if (!options.probs.empty()) {
-      return Status::InvalidArgument(
-          "flag --probs is not consumed by serve; stream models arrive "
-          "with STREAM.CREATE and query models inside each QUERY");
-    }
-    if (options.format != "lines" && options.format != "csv") {
-      return Status::InvalidArgument(StrCat(
-          "--format must be lines or csv, got \"", options.format, "\""));
-    }
-    if (options.format != "csv") {
-      for (const std::string& flag : seen_flags) {
-        if (flag == "column" || flag == "csv-header") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag, " requires --format=csv"));
-        }
-      }
-    }
-    if (options.port < 0 || options.port > 65535) {
-      return Status::InvalidArgument(
-          StrCat("--port must be in [0, 65535], got ", options.port));
-    }
-    if (options.cache < 0) {
-      return Status::InvalidArgument(
-          StrCat("--cache must be >= 0, got ", options.cache));
-    }
-    if (options.max_clients < 1 || options.max_queue < 1 ||
-        options.max_inflight < 1) {
-      return Status::InvalidArgument(
-          "--max-clients, --max-queue and --max-inflight must be >= 1");
-    }
-    // ParseFsyncPolicy validates the spelling; the result is recomputed
-    // in RunServe (CliOptions carries plain strings).
-    SIGSUB_RETURN_IF_ERROR(
-        persist::ParseFsyncPolicy(options.fsync).status());
-    if (options.snapshot_interval_ms < 0) {
-      return Status::InvalidArgument(
-          StrCat("--snapshot-interval-ms must be >= 0, got ",
-                 options.snapshot_interval_ms));
-    }
-    if (options.state_dir.empty()) {
-      for (const std::string& flag : seen_flags) {
-        if (flag == "fsync" || flag == "snapshot-interval-ms") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag, " requires --state-dir"));
-        }
-      }
-    }
-    return options;
-  }
-  if (options.command == "client") {
-    for (const std::string& flag : seen_flags) {
-      if (flag == "string" || flag == "alphabet" || flag == "probs" ||
-          flag == "x2-dispatch") {
-        return Status::InvalidArgument(
-            StrCat("flag --", flag, " is not consumed by client"));
-      }
+          StrCat("flag --", *flag, " is not consumed by client"));
     }
     if (options.port < 1 || options.port > 65535) {
       return Status::InvalidArgument(
@@ -1392,92 +1321,109 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
           "client needs --send=CMD (repeatable) and/or --input=SCRIPT "
           "(one command per line; - reads stdin)");
     }
-    if (options.timeout_ms < 1) {
-      return Status::InvalidArgument(
-          StrCat("--timeout-ms must be >= 1, got ", options.timeout_ms));
-    }
-    if (options.linger_ms < 0) {
-      return Status::InvalidArgument(
-          StrCat("--linger-ms must be >= 0, got ", options.linger_ms));
-    }
-    if (options.retries < 0) {
-      return Status::InvalidArgument(
-          StrCat("--retries must be >= 0, got ", options.retries));
-    }
-    if (options.backoff_ms < 1) {
-      return Status::InvalidArgument(
-          StrCat("--backoff-ms must be >= 1, got ", options.backoff_ms));
-    }
     return options;
   }
-  if (options.command == "batch" || options.command == "query") {
-    if (options.command == "batch" && options.has_input_text) {
+  if ((command & (kServe | kBatch)) && options.has_input_text) {
+    return Status::InvalidArgument(
+        StrCat(options.command,
+               " mines a corpus file; use --input=PATH, not --string"));
+  }
+  if (options.mmap && options.has_input_text) {
+    return Status::InvalidArgument(
+        "flag --mmap maps a file; use --input=PATH, not --string");
+  }
+  if (options.mmap && options.input_path.empty()) {
+    return Status::InvalidArgument("flag --mmap requires --input=PATH");
+  }
+  if (options.input_path.empty() && !options.has_input_text) {
+    if (command == kServe) {
       return Status::InvalidArgument(
-          "batch mines a corpus file; use --input=PATH, not --string");
+          "serve requires --input=PATH (the corpus the daemon serves)");
     }
-    if (options.input_path.empty() && !options.has_input_text) {
+    if (command & (kBatch | kQuery)) {
       return Status::InvalidArgument(
           StrCat(options.command, " requires --input=PATH",
-                 options.command == "query" ? " (or --string=TEXT)" : ""));
+                 command == kQuery ? " (or --string=TEXT)" : ""));
     }
-    if (options.has_input_text && !options.input_path.empty()) {
-      return Status::InvalidArgument("--string and --input are exclusive");
-    }
-    if (options.has_input_text) {
-      // A --string corpus has no file layout; corpus-shaping flags would
-      // be silently ignored, which the flag-strictness contract forbids.
-      for (const std::string& flag : seen_flags) {
-        if (flag == "format" || flag == "column" || flag == "csv-header") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag,
-                     " requires --input=PATH (a corpus file), not "
-                     "--string"));
-        }
-      }
-    }
-    if (options.format != "lines" && options.format != "csv") {
-      return Status::InvalidArgument(StrCat(
-          "--format must be lines or csv, got \"", options.format, "\""));
-    }
-    if (options.format != "csv") {
-      // CSV-shaping flags with a lines corpus would be silently ignored,
-      // which is exactly what per-command flag validation exists to stop.
-      for (const std::string& flag : seen_flags) {
-        if (flag == "column" || flag == "csv-header") {
-          return Status::InvalidArgument(
-              StrCat("flag --", flag, " requires --format=csv"));
-        }
-      }
-    }
-    if (options.cache < 0) {
+    return Status::InvalidArgument("one of --string or --input is required");
+  }
+  if (options.has_input_text && !options.input_path.empty()) {
+    return Status::InvalidArgument("--string and --input are exclusive");
+  }
+  if (options.has_input_text) {
+    // A --string corpus (query) has no file layout to shape.
+    if (const std::string* flag =
+            first_seen({"format", "column", "csv-header"})) {
       return Status::InvalidArgument(
-          StrCat("--cache must be >= 0, got ", options.cache));
+          StrCat("flag --", *flag,
+                 " requires --input=PATH (a corpus file), not --string"));
     }
-    // An explicit out-of-range --alpha-p must not be conflated with the
-    // "unset" sentinel (-1.0): --alpha-p=-0.001 silently falling back to
-    // --alpha0 would invert the documented precedence.
-    for (const std::string& flag : seen_flags) {
-      if (flag == "alpha-p" &&
-          (options.alpha_p <= 0.0 || options.alpha_p >= 1.0)) {
+  }
+  if (options.format != "lines" && options.format != "csv") {
+    return Status::InvalidArgument(StrCat(
+        "--format must be lines or csv, got \"", options.format, "\""));
+  }
+  if (options.format != "csv") {
+    if (const std::string* flag = first_seen({"column", "csv-header"})) {
+      return Status::InvalidArgument(
+          StrCat("flag --", *flag, " requires --format=csv"));
+    }
+  }
+  // An explicit out-of-range --alpha-p must not be conflated with the
+  // "unset" sentinel (-1.0): --alpha-p=-0.001 silently falling back to
+  // --alpha0 would invert the documented precedence.
+  if (first_seen({"alpha-p"}) &&
+      (options.alpha_p <= 0.0 || options.alpha_p >= 1.0)) {
+    return Status::InvalidArgument(
+        StrCat("--alpha-p must be in (0, 1), got ", options.alpha_p));
+  }
+  if (options.all_substrings && options.max_length < 1) {
+    return Status::InvalidArgument(
+        "flag --all enumerates every distinct substring and requires "
+        "--max-length=N to bound the output");
+  }
+  if (command == kServe) {
+    if (!options.probs.empty()) {
+      return Status::InvalidArgument(
+          "flag --probs is not consumed by serve; stream models arrive "
+          "with STREAM.CREATE and query models inside each QUERY");
+    }
+    if (options.port < 0 || options.port > 65535) {
+      return Status::InvalidArgument(
+          StrCat("--port must be in [0, 65535], got ", options.port));
+    }
+    if (options.max_clients < 1 || options.max_queue < 1 ||
+        options.max_inflight < 1) {
+      return Status::InvalidArgument(
+          "--max-clients, --max-queue and --max-inflight must be >= 1");
+    }
+    // ParseFsyncPolicy validates the spelling; the result is recomputed
+    // in RunServe (CliOptions carries plain strings).
+    SIGSUB_RETURN_IF_ERROR(
+        persist::ParseFsyncPolicy(options.fsync).status());
+    if (options.state_dir.empty()) {
+      if (const std::string* flag =
+              first_seen({"fsync", "snapshot-interval-ms"})) {
         return Status::InvalidArgument(
-            StrCat("--alpha-p must be in (0, 1), got ", options.alpha_p));
+            StrCat("flag --", *flag, " requires --state-dir"));
       }
     }
-    if (options.command == "query") {
-      if (options.queries.empty() && options.queries_file.empty()) {
-        return Status::InvalidArgument(
-            "query requires --query=SPEC (repeatable) or "
-            "--queries-file=PATH");
-      }
-      if (!options.probs.empty()) {
-        // Each query carries its own model; a corpus-level --probs would
-        // be silently shadowed.
-        return Status::InvalidArgument(
-            "flag --probs is not consumed by query; put "
-            "model=probs(p1;p2;...) inside each query instead");
-      }
-      return options;
+  }
+  if (command == kQuery) {
+    if (options.queries.empty() && options.queries_file.empty()) {
+      return Status::InvalidArgument(
+          "query requires --query=SPEC (repeatable) or "
+          "--queries-file=PATH");
     }
+    if (!options.probs.empty()) {
+      // Each query carries its own model; a corpus-level --probs would
+      // be silently shadowed.
+      return Status::InvalidArgument(
+          "flag --probs is not consumed by query; put "
+          "model=probs(p1;p2;...) inside each query instead");
+    }
+  }
+  if (command == kBatch) {
     SIGSUB_ASSIGN_OR_RETURN(api::QueryKind kind, ParseJobFlag(options.job));
     // Job-parameter flags are only consumed by their own kind; reject the
     // rest so e.g. `--job=mss --pvalue=0.01` cannot silently do nothing.
@@ -1498,43 +1444,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
                    options.job));
       }
     }
-    return options;
-  }
-  if (options.command == "substrings") {
-    if (options.mmap) {
-      if (options.has_input_text) {
-        return Status::InvalidArgument(
-            "flag --mmap maps a file; use --input=PATH, not --string");
-      }
-      if (options.input_path.empty()) {
-        return Status::InvalidArgument("flag --mmap requires --input=PATH");
-      }
-    }
-    // Flag-level range checks stay in flag vocabulary; the engine's
-    // query-layer messages (field top, field min_count, ...) cover the
-    // rest identically for the CLI and wire surfaces.
-    if (options.all_substrings && options.max_length < 1) {
-      return Status::InvalidArgument(
-          "flag --all enumerates every distinct substring and requires "
-          "--max-length=N to bound the output");
-    }
-    for (const std::string& flag : seen_flags) {
-      if (flag == "alpha-p" &&
-          (options.alpha_p <= 0.0 || options.alpha_p >= 1.0)) {
-        return Status::InvalidArgument(
-            StrCat("--alpha-p must be in (0, 1), got ", options.alpha_p));
-      }
-      if (flag == "cache" && options.cache < 0) {
-        return Status::InvalidArgument(
-            StrCat("--cache must be >= 0, got ", options.cache));
-      }
-    }
-  }
-  if (!options.has_input_text && options.input_path.empty()) {
-    return Status::InvalidArgument("one of --string or --input is required");
-  }
-  if (options.has_input_text && !options.input_path.empty()) {
-    return Status::InvalidArgument("--string and --input are exclusive");
   }
   return options;
 }

@@ -18,7 +18,8 @@ namespace cli {
 /// Commands: mss | topt | threshold | minlen | score | substrings | batch |
 /// query | stream | serve | client. Flags are validated against the
 /// selected command: supplying a flag that the command does not consume is
-/// an InvalidArgument error, not a silent acceptance.
+/// an InvalidArgument error, not a silent acceptance. So is an integer
+/// outside its flag's range; the ranges are listed below.
 ///
 /// Common flags:
 ///   --string=TEXT        input string literal (exclusive with --input)
@@ -68,7 +69,8 @@ namespace cli {
 ///   --format=FMT         lines|csv corpus layout (default lines)
 ///   --column=N           CSV column holding the records (default 0)
 ///   --csv-header         skip the first CSV row
-///   --cache=N            result-cache capacity in entries (default 4096)
+///   --cache=N            result-cache capacity in entries, >= 0
+///                        (default 4096)
 ///   --shard-min=N        split an MSS job across the worker pool when
 ///                        its record has at least N symbols (default
 ///                        2^20; 0 disables in-record sharding)
@@ -83,35 +85,42 @@ namespace cli {
 ///                        converted to per-scale X² thresholds via the
 ///                        χ²(k−1) quantile with a Šidák correction
 ///                        (default 1e-6)
-///   --max-window=W       longest monitored suffix window (default 4096)
-///   --chunk=N            symbols per AppendChunk call (default 8192)
+///   --max-window=W       longest monitored suffix window, 1..10^9
+///                        (default 4096)
+///   --chunk=N            symbols per AppendChunk call, >= 1 (default 8192)
 /// Serve-only flags (sigsubd daemon over the --input corpus):
-///   --port=N             listen port (default 0 = ephemeral; the bound
-///                        port is printed on the listening banner)
+///   --port=N             listen port, 0..65535 (default 0 = ephemeral;
+///                        the bound port is printed on the listening
+///                        banner); client: 1..65535, required
 ///   --host=ADDR          bind address (default 127.0.0.1)
-///   --max-clients=N      connection cap (default 64)
-///   --max-queue=N        admission-queue depth; overflow sheds EBUSY
-///   --max-inflight=N     per-connection in-flight cap (EQUOTA)
+///   --max-clients=N      connection cap, 1..10^9 (default 64)
+///   --max-queue=N        admission-queue depth, >= 1; overflow sheds EBUSY
+///   --max-inflight=N     per-connection in-flight cap (EQUOTA), 1..10^9
 ///   --idle-timeout-ms=N  idle-connection harvest (0 disables)
-///   --max-runtime-ms=N   self-drain after N ms (0 = run until SIGTERM)
+///   --max-runtime-ms=N   self-drain after N ms, 0..10^9 (0 = run until
+///                        SIGTERM)
 ///   --state-dir=PATH     crash-safe state directory: replay on startup,
 ///                        journal every acknowledged stream op, snapshot
 ///                        periodically and on drain (empty = volatile)
 ///   --fsync=MODE         always|none — journal fsync policy. `always`
 ///                        survives power loss; `none` only process
 ///                        crashes (default always)
-///   --snapshot-interval-ms=N  milliseconds between periodic snapshots;
-///                        0 leaves only the snapshot-on-drain (default
-///                        30000)
+///   --snapshot-interval-ms=N  milliseconds between periodic snapshots,
+///                        >= 0; 0 leaves only the snapshot-on-drain
+///                        (default 30000)
 /// Client-only flags:
 ///   --send=CMD           one protocol line (repeatable, sent in order)
-///   --timeout-ms=N       per-reply read timeout (default 5000)
+///   --timeout-ms=N       per-reply read timeout, 1..10^9 (default 5000)
 ///   --linger-ms=N        keep reading pushed ALARM lines this long after
-///                        the last reply (default 0)
+///                        the last reply, 0..10^9 (default 0)
 ///   --retries=N          extra connect attempts after the first, with
-///                        jittered exponential backoff (default 0)
+///                        jittered exponential backoff, 0..10^9 (default 0)
 ///   --backoff-ms=N       base backoff before the first retry; doubles
-///                        per attempt (default 100)
+///                        per attempt, 1..10^9 (default 100)
+/// The 10^9 bounds keep these values inside int arithmetic: int caps and
+/// retry counts, now + N deadlines, and poll(2)'s int timeout after the
+/// backoff's jitter of up to 1.5x. The bound on --max-window caps the
+/// stream detector's byte ring.
 struct CliOptions {
   std::string command;
   std::string input_path;

@@ -67,7 +67,6 @@ Server::Server(engine::Corpus corpus, ServerOptions options)
           .x2_dispatch = options_.x2_dispatch,
       }),
       streams_(engine::StreamManagerOptions{
-          .num_threads = options_.engine_threads,
           .x2_dispatch = options_.x2_dispatch,
       }) {
   if (options_.batch_max < 1) options_.batch_max = 1;

@@ -53,8 +53,8 @@ double GammaQContinuedFraction(double a, double x) {
 double LogGamma(double x) {
   SIGSUB_DCHECK(x > 0.0);
   // std::lgamma writes the process-global `signgam` on glibc, which is a
-  // data race when streams calibrate thresholds concurrently (e.g.
-  // StreamManager::AppendBatch fanning out over the thread pool). The
+  // data race when p-values are computed concurrently (e.g. substrings
+  // queries scoring their classes on the engine's pool workers). The
   // reentrant variant returns the sign through a local instead.
 #if defined(__GLIBC__) || defined(__APPLE__)
   int sign = 0;

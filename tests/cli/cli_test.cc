@@ -184,6 +184,70 @@ TEST(ParseArgsTest, ThreadsOutsideZeroTo1024AreRejected) {
   EXPECT_EQ(max->threads, 1024);
 }
 
+/// Checks that --`flag` refuses values above 10^9, naming the flag, and
+/// accepts the bound itself.
+void ExpectBoundedAtOneBillion(std::vector<std::string> args,
+                               const std::string& flag) {
+  for (const char* value :
+       {"1000000001", "4294967296", "9223372036854775807"}) {
+    std::vector<std::string> over = args;
+    over.push_back(StrCat("--", flag, "=", value));
+    auto status = ParseArgs(over).status();
+    ASSERT_TRUE(status.IsInvalidArgument()) << flag << "=" << value;
+    EXPECT_EQ(status.message(),
+              StrCat("--", flag, " must be <= 1000000000, got ", value));
+  }
+  args.push_back(StrCat("--", flag, "=1000000000"));
+  EXPECT_TRUE(ParseArgs(args).ok()) << flag;
+}
+
+// Each bounded flag reaches int-sized arithmetic; without its bound the
+// value wrapped or overflowed silently.
+TEST(IntFlagBoundTest, MaxClients) {
+  // 4294967296 wrapped to 0 through the int cast: every client then got
+  // ERR EBUSY server full.
+  ExpectBoundedAtOneBillion({"serve", "--input=c.txt"}, "max-clients");
+}
+
+TEST(IntFlagBoundTest, MaxInflight) {
+  ExpectBoundedAtOneBillion({"serve", "--input=c.txt"}, "max-inflight");
+}
+
+TEST(IntFlagBoundTest, MaxRuntimeMs) {
+  // now + 9223372036854775807 overflowed: the daemon drained at once.
+  ExpectBoundedAtOneBillion({"serve", "--input=c.txt"}, "max-runtime-ms");
+  EXPECT_EQ(ParseArgs({"serve", "--input=c.txt", "--max-runtime-ms=-1"})
+                .status()
+                .message(),
+            "--max-runtime-ms must be >= 0, got -1");
+}
+
+TEST(IntFlagBoundTest, TimeoutMs) {
+  ExpectBoundedAtOneBillion({"client", "--port=9000", "--send=PING"},
+                            "timeout-ms");
+}
+
+TEST(IntFlagBoundTest, LingerMs) {
+  ExpectBoundedAtOneBillion({"client", "--port=9000", "--send=PING"},
+                            "linger-ms");
+}
+
+TEST(IntFlagBoundTest, Retries) {
+  ExpectBoundedAtOneBillion({"client", "--port=9000", "--send=PING"},
+                            "retries");
+}
+
+TEST(IntFlagBoundTest, BackoffMs) {
+  ExpectBoundedAtOneBillion({"client", "--port=9000", "--send=PING"},
+                            "backoff-ms");
+}
+
+TEST(IntFlagBoundTest, MaxWindow) {
+  // The detector allocates a byte ring of max_window + 1: 10^11 aborted
+  // with std::bad_alloc instead of an error naming the flag.
+  ExpectBoundedAtOneBillion({"stream", "--string=0101"}, "max-window");
+}
+
 TEST(ParseArgsTest, ParsesShardMin) {
   auto options =
       ParseArgs({"batch", "--input=x", "--threads=4", "--shard-min=5000"});
