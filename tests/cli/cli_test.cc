@@ -890,6 +890,213 @@ TEST(PinnedReportTest, Minlen) {
             "text: \"1111110101\"\n");
 }
 
+// The substrings reports below were captured from the build before the
+// command lowered its flags through QueryFromFlags and
+// engine::SuffixScanOptionsFor; both paths (engine, --positions) and both
+// loaders (decoded, --mmap) must render them byte for byte.
+constexpr char kSubstringsRecord[] = "ACGTTTTTACGTACGTTTTTGGGACGTTTTTAC";
+
+TEST(PinnedReportTest, SubstringsDefault) {
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord)}),
+      "n = 33, k = 4\n"
+      "24 matching substrings (showing 10)\n"
+      "rank  start  end  length  count  X2       p-value   substring \n"
+      "--------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"   \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"    \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\"  \n"
+      "4     3      6    3       9      9.0000   0.02929   \"TTT\"     \n"
+      "5     1      8    7       3      8.4286   0.03794   \"CGTTTTT\" \n"
+      "6     3      10   7       2      8.4286   0.03794   \"TTTTTAC\" \n"
+      "7     20     22   2       2      6.0000   0.1116    \"GG\"      \n"
+      "8     3      5    2       12     6.0000   0.1116    \"TT\"      \n"
+      "9     4      10   6       2      6.0000   0.1116    \"TTTTAC\"  \n"
+      "10    0      8    8       3      6.0000   0.1116    \"ACGTTTTT\"\n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+  // Long substrings are elided in the text column.
+  const std::string runs =
+      "0" + std::string(30, '1') + "0" + std::string(30, '1') + "0";
+  EXPECT_EQ(
+      RunArgs({"substrings", "--string=" + runs, "--top=3", "--min-count=2",
+               "--min-length=2"}),
+      "n = 63, k = 2\n"
+      "59 matching substrings (showing 3)\n"
+      "rank  start  end  length  count  X2       p-value    substring       "
+      "                          \n"
+      "---------------------------------------------------------------------"
+      "--------------------------\n"
+      "1     1      30   29      4      29.0000  7.238e-08  "
+      "\"111111111111111111111111\"... (29 symbols)\n"
+      "2     1      29   28      6      28.0000  1.213e-07  "
+      "\"111111111111111111111111\"... (28 symbols)\n"
+      "3     1      32   31      2      27.1290  1.903e-07  "
+      "\"111111111111111111111111\"... (31 symbols)\n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+}
+
+TEST(PinnedReportTest, SubstringsPositions) {
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord),
+               "--positions", "--top=4"}),
+      "n = 33, k = 4\n"
+      "24 matching substrings (showing 4)\n"
+      "rank  start  end  length  count  X2       p-value   substring\n"
+      "-------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"  \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"   \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\" \n"
+      "4     3      6    3       9      9.0000   0.02929   \"TTT\"    \n"
+      "positions 1: 3 15 26\n"
+      "positions 2: 3 4 15 16 26 27\n"
+      "positions 3: 2 14 25\n"
+      "positions 4: 3 4 5 15 16 17 26 27 28\n"
+      "classes: 24 enumerated, 24 candidates scored; index: 264 bytes "
+      "(peak 396)\n");
+  // A p-value cutoff under a --probs model.
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord),
+               "--positions", "--probs=0.1,0.2,0.3,0.4", "--alpha-p=0.2"}),
+      "n = 33, k = 4\n"
+      "5 matching substrings\n"
+      "rank  start  end  length  count  X2      p-value  substring\n"
+      "-----------------------------------------------------------\n"
+      "1     3      8    5       3      7.5000  0.05756  \"TTTTT\"  \n"
+      "2     3      7    4       6      6.0000  0.1116   \"TTTT\"   \n"
+      "3     0      2    2       5      5.5000  0.1386   \"AC\"     \n"
+      "4     2      8    6       3      4.9722  0.1738   \"GTTTTT\" \n"
+      "5     20     22   2       2      4.6667  0.1979   \"GG\"     \n"
+      "positions 1: 3 15 26\n"
+      "positions 2: 3 4 15 16 26 27\n"
+      "positions 3: 0 8 12 23 31\n"
+      "positions 4: 2 14 25\n"
+      "positions 5: 20 21\n"
+      "classes: 24 enumerated, 24 candidates scored; index: 264 bytes "
+      "(peak 396)\n");
+  // A raw X² cutoff over every class member.
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord),
+               "--positions", "--alpha0=8", "--all", "--max-length=6"}),
+      "n = 33, k = 4\n"
+      "7 matching substrings\n"
+      "rank  start  end  length  count  X2       p-value   substring\n"
+      "-------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"  \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"   \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\" \n"
+      "4     3      9    6       2      11.3333  0.01005   \"TTTTTA\" \n"
+      "5     3      6    3       9      9.0000   0.02929   \"TTT\"    \n"
+      "6     2      7    5       3      8.6000   0.03511   \"GTTTT\"  \n"
+      "7     4      9    5       2      8.6000   0.03511   \"TTTTA\"  \n"
+      "positions 1: 3 15 26\n"
+      "positions 2: 3 4 15 16 26 27\n"
+      "positions 3: 2 14 25\n"
+      "positions 4: 3 26\n"
+      "positions 5: 3 4 5 15 16 17 26 27 28\n"
+      "positions 6: 2 14 25\n"
+      "positions 7: 4 27\n"
+      "classes: 24 enumerated, 35 candidates scored; index: 264 bytes "
+      "(peak 396)\n");
+}
+
+TEST(PinnedReportTest, SubstringsMmap) {
+  const std::string path = ::testing::TempDir() + "/sigsub_cli_pin_mmap.txt";
+  ASSERT_TRUE(io::WriteTextFile(path, StrCat(kSubstringsRecord, "\n")).ok());
+  const std::string input = "--input=" + path;
+  EXPECT_EQ(
+      RunArgs({"substrings", input, "--mmap", "--top=5"}),
+      "n = 33, k = 4, mapped\n"
+      "24 matching substrings (showing 5)\n"
+      "rank  start  end  length  count  X2       p-value   substring\n"
+      "-------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"  \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"   \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\" \n"
+      "4     3      6    3       9      9.0000   0.02929   \"TTT\"    \n"
+      "5     1      8    7       3      8.4286   0.03794   \"CGTTTTT\"\n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+  EXPECT_EQ(
+      RunArgs({"substrings", input, "--mmap", "--positions", "--top=3"}),
+      "n = 33, k = 4, mapped\n"
+      "24 matching substrings (showing 3)\n"
+      "rank  start  end  length  count  X2       p-value   substring\n"
+      "-------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"  \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"   \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\" \n"
+      "positions 1: 3 15 26\n"
+      "positions 2: 3 4 15 16 26 27\n"
+      "positions 3: 2 14 25\n"
+      "classes: 24 enumerated, 24 candidates scored; index: 264 bytes "
+      "(peak 396)\n");
+  std::remove(path.c_str());
+}
+
+TEST(PinnedReportTest, SubstringsCutoffsAndModels) {
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord),
+               "--alpha-p=0.05"}),
+      "n = 33, k = 4\n"
+      "6 matching substrings\n"
+      "rank  start  end  length  count  X2       p-value   substring\n"
+      "-------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"  \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"   \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\" \n"
+      "4     3      6    3       9      9.0000   0.02929   \"TTT\"    \n"
+      "5     1      8    7       3      8.4286   0.03794   \"CGTTTTT\"\n"
+      "6     3      10   7       2      8.4286   0.03794   \"TTTTTAC\"\n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord),
+               "--alpha0=3.5", "--top=0"}),
+      "n = 33, k = 4\n"
+      "14 matching substrings\n"
+      "rank  start  end  length  count  X2       p-value   substring   \n"
+      "----------------------------------------------------------------\n"
+      "1     3      8    5       3      15.0000  0.001817  \"TTTTT\"     \n"
+      "2     3      7    4       6      12.0000  0.007383  \"TTTT\"      \n"
+      "3     2      8    6       3      11.3333  0.01005   \"GTTTTT\"    \n"
+      "4     3      6    3       9      9.0000   0.02929   \"TTT\"       \n"
+      "5     1      8    7       3      8.4286   0.03794   \"CGTTTTT\"   \n"
+      "6     3      10   7       2      8.4286   0.03794   \"TTTTTAC\"   \n"
+      "7     20     22   2       2      6.0000   0.1116    \"GG\"        \n"
+      "8     3      5    2       12     6.0000   0.1116    \"TT\"        \n"
+      "9     4      10   6       2      6.0000   0.1116    \"TTTTAC\"    \n"
+      "10    0      8    8       3      6.0000   0.1116    \"ACGTTTTT\"  \n"
+      "11    2      10   8       2      6.0000   0.1116    \"GTTTTTAC\"  \n"
+      "12    1      10   9       2      4.7778   0.1888    \"CGTTTTTAC\" \n"
+      "13    5      10   5       2      3.8000   0.2839    \"TTTAC\"     \n"
+      "14    0      10   10      2      3.6000   0.308     \"ACGTTTTTAC\"\n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord),
+               "--probs=0.1,0.2,0.3,0.4", "--top=4"}),
+      "n = 33, k = 4\n"
+      "24 matching substrings (showing 4)\n"
+      "rank  start  end  length  count  X2      p-value  substring\n"
+      "-----------------------------------------------------------\n"
+      "1     3      8    5       3      7.5000  0.05756  \"TTTTT\"  \n"
+      "2     3      7    4       6      6.0000  0.1116   \"TTTT\"   \n"
+      "3     0      2    2       5      5.5000  0.1386   \"AC\"     \n"
+      "4     2      8    6       3      4.9722  0.1738   \"GTTTTT\" \n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+  EXPECT_EQ(
+      RunArgs({"substrings", StrCat("--string=", kSubstringsRecord), "--all",
+               "--max-length=3", "--top=6"}),
+      "n = 33, k = 4\n"
+      "16 matching substrings (showing 6)\n"
+      "rank  start  end  length  count  X2      p-value  substring\n"
+      "-----------------------------------------------------------\n"
+      "1     3      6    3       9      9.0000  0.02929  \"TTT\"    \n"
+      "2     20     22   2       2      6.0000  0.1116   \"GG\"     \n"
+      "3     3      5    2       12     6.0000  0.1116   \"TT\"     \n"
+      "4     2      5    3       3      3.6667  0.2998   \"GTT\"    \n"
+      "5     6      9    3       2      3.6667  0.2998   \"TTA\"    \n"
+      "6     0      1    1       5      3.0000  0.3916   \"A\"      \n"
+      "cache: 0 hits, 1 misses (1 entries)\n");
+}
+
 TEST(PinnedReportTest, FlagErrorsKeepTheirWording) {
   // The engine would answer these edges differently (an empty best for a
   // floor above n, query-layer field names); the commands keep their
