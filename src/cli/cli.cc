@@ -65,13 +65,13 @@ enum CommandBit : uint32_t {
 /// Upper bound of --threads; 0 selects the hardware concurrency.
 constexpr int64_t kMaxThreads = 1024;
 
-/// Upper bound of the integer flags whose values reach int arithmetic or
-/// size an allocation: the server's connection and in-flight caps are
-/// ints, the client makes retries + 1 attempts, the millisecond flags
-/// become now + N deadlines and poll(2)'s int timeout (the backoff after a
-/// jitter of up to 1.5x), and --max-window sizes the stream detector's
-/// byte ring. 10^9 keeps each below INT_MAX; in milliseconds it is about
-/// 11.6 days.
+/// Upper bound of the integer flags whose values reach int arithmetic:
+/// the server's connection and in-flight caps are ints, the client makes
+/// retries + 1 attempts, and the millisecond flags become now + N
+/// deadlines and poll(2)'s int timeout (the backoff after a jitter of up
+/// to 1.5x). 10^9 keeps each below INT_MAX; in milliseconds it is about
+/// 11.6 days. --max-window takes the detector's own bound,
+/// core::StreamingDetector::kMaxWindow, which is the same 10^9.
 constexpr int64_t kMaxIntFlag = 1'000'000'000;
 constexpr int64_t kNoMin = std::numeric_limits<int64_t>::min();
 
@@ -164,8 +164,7 @@ using FlagTarget =
 /// One row of the flag table: the name, the commands that take the flag
 /// (CommandBit mask) and where its value goes. Integer flags refuse values
 /// outside [min, max], naming the flag. A row without a min leaves the
-/// lower bound to a rule with wording of its own (serve's three caps,
-/// stream's --max-window).
+/// lower bound to a rule with wording of its own (serve's three caps).
 struct Flag {
   const char* name;
   uint32_t commands;
@@ -210,8 +209,9 @@ constexpr Flag kFlags[] = {
     {"cache", kSubstrings | kBatch | kQuery | kServe, &CliOptions::cache, 0},
     {"shard-min", kBatch | kQuery | kServe, &CliOptions::shard_min},
     {"alpha", kStream, &CliOptions::alpha},
-    {"max-window", kStream, &CliOptions::max_window, kNoMin, kMaxIntFlag},
-    {"chunk", kStream, &CliOptions::chunk},
+    {"max-window", kStream, &CliOptions::max_window, 1,
+     core::StreamingDetector::kMaxWindow},
+    {"chunk", kStream, &CliOptions::chunk, 1},
     {"port", kServe | kClient, &CliOptions::port},
     {"host", kServe | kClient, &CliOptions::host},
     {"max-clients", kServe, &CliOptions::max_clients, kNoMin, kMaxIntFlag},
@@ -360,10 +360,11 @@ Result<api::QueryKind> ParseJobFlag(const std::string& job) {
 }
 
 /// Lowers the mining flags to one query of `kind` on record 0: the one
-/// flags-to-QuerySpec path of the single-string mining commands and of
-/// `batch`, which replicates it per record. Each command range-checks the
-/// flags first, in its own vocabulary. `alpha0` is the resolved X²
-/// cutoff; a set --alpha-p travels as the query's alpha_p and wins.
+/// flags-to-QuerySpec path of the single-string mining commands, of
+/// `substrings` and of `batch`, which replicates it per record. Each
+/// command range-checks the flags first, in its own vocabulary. `alpha0`
+/// is the resolved X² cutoff; a set --alpha-p travels as the query's
+/// alpha_p and wins.
 api::QuerySpec QueryFromFlags(const CliOptions& options, api::QueryKind kind,
                               double alpha0, int64_t max_matches) {
   api::QuerySpec spec;
@@ -384,6 +385,15 @@ api::QuerySpec QueryFromFlags(const CliOptions& options, api::QueryKind kind,
       break;
     case api::QueryKind::kMinLength:
       spec.request = api::MinLengthQuery{options.min_length};
+      break;
+    case api::QueryKind::kSubstrings:
+      spec.request = api::SubstringsQuery{.top = options.top,
+                                          .min_length = options.min_length,
+                                          .max_length = options.max_length,
+                                          .min_count = options.min_count,
+                                          .maximal = !options.all_substrings,
+                                          .alpha0 = alpha0,
+                                          .alpha_p = options.alpha_p};
       break;
     default:  // kMss: the default request.
       break;
@@ -616,25 +626,26 @@ Result<std::string> RunQuery(const CliOptions& options) {
 /// Executes the `substrings` command: all-substrings mining over one
 /// record. The record is either memory-mapped in place (--mmap: no decoded
 /// in-RAM copy, the suffix index reads through the byte→symbol table) or
-/// loaded like the other single-string commands. The default path routes a
-/// serialized substrings query through the engine (shared validation,
-/// result cache); --positions calls the suffix scan directly, since
-/// occurrence positions are computed on request and never cached.
+/// loaded like the other single-string commands. The flags lower to one
+/// substrings query (QueryFromFlags). The default path runs it through the
+/// engine (shared validation, result cache); --positions scans the
+/// record's suffix index directly under the same lowering
+/// (engine::SuffixScanOptionsFor), since occurrence positions are
+/// computed on request and never cached.
 Result<std::string> RunSubstrings(const CliOptions& options) {
-  std::string text;  // Backing for non-mapped corpora; also rendering.
   Result<engine::Corpus> loaded =
       options.mmap
           ? engine::Corpus::FromMappedFile(options.input_path,
                                            options.alphabet)
           : [&]() -> Result<engine::Corpus> {
-              SIGSUB_ASSIGN_OR_RETURN(text, LoadInput(options));
+              SIGSUB_ASSIGN_OR_RETURN(std::string text, LoadInput(options));
               if (text.empty()) {
                 return Status::InvalidArgument("input string is empty");
               }
               return engine::Corpus::FromStrings({text}, options.alphabet);
             }();
   SIGSUB_RETURN_IF_ERROR(loaded.status());
-  engine::Corpus corpus = std::move(loaded).value();
+  const engine::Corpus corpus = std::move(loaded).value();
   const int k = corpus.alphabet().size();
   if (!options.probs.empty() &&
       static_cast<int>(options.probs.size()) != k) {
@@ -643,15 +654,10 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
                " probabilities but the record alphabet has ", k,
                " symbols"));
   }
-  const std::string_view record =
-      options.mmap
-          ? std::string_view(
-                reinterpret_cast<const char*>(corpus.mapped_record().data()),
-                corpus.mapped_record().size())
-          : std::string_view(text);
+  const std::string_view record = corpus.record_bytes(0);
 
   std::ostringstream out;
-  out << "n = " << record.size() << ", k = " << k
+  out << "n = " << corpus.record_size(0) << ", k = " << k
       << (options.mmap ? ", mapped" : "") << "\n";
 
   // Rendered substring text column; long substrings are elided, the
@@ -679,48 +685,38 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
                   std::to_string(count), StrFormat("%.4f", sub.chi_square),
                   StrFormat("%.4g", p_value), render_text(sub)});
   };
+  // The match-count line, then the rows added so far.
+  auto render_table = [&](int64_t match_count) {
+    const int64_t shown = static_cast<int64_t>(table.row_count());
+    out << match_count << " matching substrings";
+    if (match_count > shown) out << " (showing " << shown << ")";
+    out << "\n";
+    if (shown > 0) out << table.Render();
+  };
+
+  // A set --alpha-p travels as the query's alpha_p and wins; a negative
+  // --alpha0 leaves the cutoff unset.
+  const double alpha0 =
+      options.alpha_p < 0.0 && options.alpha0 >= 0.0 ? options.alpha0 : -1.0;
+  const api::QuerySpec spec = QueryFromFlags(
+      options, api::QueryKind::kSubstrings, alpha0, /*max_matches=*/0);
 
   if (options.positions) {
-    // Direct core call: positions are collected during the sweep and are
-    // not part of the cached result shape.
     std::vector<double> probs = options.probs;
     if (probs.empty()) probs.assign(k, 1.0 / k);
     SIGSUB_ASSIGN_OR_RETURN(core::ChiSquareContext context,
                             core::ChiSquareContext::Make(std::move(probs)));
-    core::SuffixScanOptions scan_options;
-    scan_options.top_n = options.top;
-    scan_options.min_length = options.min_length;
-    scan_options.max_length = options.max_length;
-    scan_options.min_count = options.min_count;
-    scan_options.maximal_only = !options.all_substrings;
+    core::SuffixScanOptions scan_options = engine::SuffixScanOptionsFor(
+        std::get<api::SubstringsQuery>(spec.request), k, /*markov=*/false);
     scan_options.collect_positions = true;
-    // The same alpha resolution the engine applies: a p-value converts
-    // through the χ²(k−1) critical value and wins over a raw X² cutoff.
-    if (options.alpha_p > 0.0) {
-      scan_options.min_x2 =
-          stats::ChiSquaredDistribution(k - 1).CriticalValue(options.alpha_p);
-    } else if (options.alpha0 >= 0.0) {
-      scan_options.min_x2 = options.alpha0;
-    }
-    SIGSUB_ASSIGN_OR_RETURN(
-        core::SuffixScan scan,
-        options.mmap
-            ? core::SuffixScan::BuildMapped(corpus.mapped_record(),
-                                            corpus.decode_table(), k)
-            : core::SuffixScan::Build(corpus.sequence(0).symbols(), k));
+    SIGSUB_ASSIGN_OR_RETURN(core::SuffixScan scan, corpus.BuildSuffixScan(0));
     SIGSUB_ASSIGN_OR_RETURN(core::SuffixScanResult result,
                             scan.Scan(context, scan_options));
-    out << result.match_count << " matching substrings";
-    if (result.match_count >
-        static_cast<int64_t>(result.classes.size())) {
-      out << " (showing " << result.classes.size() << ")";
-    }
-    out << "\n";
     for (size_t i = 0; i < result.classes.size(); ++i) {
       add_row(i, result.classes[i].substring, result.classes[i].count,
               result.classes[i].p_value);
     }
-    if (table.row_count() > 0) out << table.Render();
+    render_table(result.match_count);
     for (size_t i = 0; i < result.positions.size(); ++i) {
       out << "positions " << (i + 1) << ":";
       for (int64_t pos : result.positions[i]) out << " " << pos;
@@ -733,37 +729,15 @@ Result<std::string> RunSubstrings(const CliOptions& options) {
     return out.str();
   }
 
-  // Engine path: the flags spell one serialized substrings query (the
-  // same grammar the query command and the wire protocol accept), so the
-  // CLI cannot drift from the query surface — and repeats hit the result
-  // cache.
-  std::string query_text = StrCat(
-      "substrings:top=", options.top, ",min_length=", options.min_length,
-      ",max_length=", options.max_length, ",min_count=", options.min_count,
-      ",maximal=", options.all_substrings ? 0 : 1);
-  if (options.alpha_p > 0.0) {
-    query_text += StrCat(",alpha_p=", StrFormat("%.17g", options.alpha_p));
-  } else if (options.alpha0 >= 0.0) {
-    query_text += StrCat(",alpha0=", StrFormat("%.17g", options.alpha0));
-  }
-  SIGSUB_ASSIGN_OR_RETURN(api::QuerySpec spec, api::ParseQuery(query_text));
-  if (!options.probs.empty()) {
-    spec.model = api::ModelSpec::Multinomial(options.probs);
-  }
   engine::Engine engine(EngineOptionsFrom(options));
   SIGSUB_ASSIGN_OR_RETURN(std::vector<api::QueryResult> results,
                           engine.ExecuteQueries(corpus, {spec}));
   const auto& payload =
       std::get<api::SubstringsPayload>(results[0].payload);
-  out << payload.match_count << " matching substrings";
-  if (payload.match_count > static_cast<int64_t>(payload.ranked.size())) {
-    out << " (showing " << payload.ranked.size() << ")";
-  }
-  out << "\n";
   for (size_t i = 0; i < payload.ranked.size(); ++i) {
     add_row(i, payload.ranked[i], payload.counts[i], payload.p_values[i]);
   }
-  if (table.row_count() > 0) out << table.Render();
+  render_table(payload.match_count);
   out << CacheFooter(engine);
   return out.str();
 }
@@ -806,18 +780,6 @@ Result<std::string> RunStream(const CliOptions& options) {
   }
   if (text.empty()) {
     return Status::InvalidArgument("stream input is empty");
-  }
-  if (options.alpha <= 0.0 || options.alpha >= 1.0) {
-    return Status::InvalidArgument(
-        StrCat("--alpha must be in (0, 1), got ", options.alpha));
-  }
-  if (options.max_window < 1) {
-    return Status::InvalidArgument(
-        StrCat("--max-window must be >= 1, got ", options.max_window));
-  }
-  if (options.chunk < 1) {
-    return Status::InvalidArgument(
-        StrCat("--chunk must be >= 1, got ", options.chunk));
   }
 
   std::string alphabet_chars = options.alphabet;
@@ -1376,6 +1338,12 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       (options.alpha_p <= 0.0 || options.alpha_p >= 1.0)) {
     return Status::InvalidArgument(
         StrCat("--alpha-p must be in (0, 1), got ", options.alpha_p));
+  }
+  // stream's --alpha (the default is in range, and only stream takes the
+  // flag). Written so that NaN, which fails every comparison, is refused.
+  if (!(options.alpha > 0.0 && options.alpha < 1.0)) {
+    return Status::InvalidArgument(
+        StrCat("--alpha must be in (0, 1), got ", options.alpha));
   }
   if (options.all_substrings && options.max_length < 1) {
     return Status::InvalidArgument(

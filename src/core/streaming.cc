@@ -85,9 +85,10 @@ Result<StreamingDetector> StreamingDetector::Make(
   if (context == nullptr) {
     return Status::InvalidArgument("context must not be null");
   }
-  if (options.max_window < 1) {
-    return Status::InvalidArgument(
-        StrCat("max_window must be >= 1, got ", options.max_window));
+  if (options.max_window < 1 || options.max_window > kMaxWindow) {
+    return Status::InvalidArgument(StrCat("max_window must be in [1, ",
+                                          kMaxWindow, "], got ",
+                                          options.max_window));
   }
   if (options.x2_threshold < 0.0 &&
       !(options.alpha > 0.0 && options.alpha < 1.0)) {
@@ -224,17 +225,16 @@ std::vector<StreamingDetector::Alarm> StreamingDetector::AppendChunk(
       ws_sub += static_cast<double>(2 * counts[expiring] + 1) *
                 inv_probs[expiring];
     };
+    // Append's order: rearm first, then test the same position, so a
+    // rearm level above the threshold (rearm_fraction > 1) lets a scale
+    // alarm again at the position that rearmed it.
     auto check_alarm = [&](int64_t pos) {
       const double ws = ws_base + (ws_add - ws_sub);
-      if (!in_alarm) {
-        if (ws > ws_threshold) {
-          in_alarm = true;
-          const double x2 = ws * inv_scale - dscale;
-          alarms.push_back(
-              Alarm{pos, scale, x2, stats::ChiSquarePValue(x2, k)});
-        }
-      } else if (ws < ws_rearm) {
-        in_alarm = false;
+      if (in_alarm && ws < ws_rearm) in_alarm = false;
+      if (!in_alarm && ws > ws_threshold) {
+        in_alarm = true;
+        const double x2 = ws * inv_scale - dscale;
+        alarms.push_back(Alarm{pos, scale, x2, stats::ChiSquarePValue(x2, k)});
       }
     };
 

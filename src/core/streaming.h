@@ -122,8 +122,14 @@ class StreamingDetector {
     std::vector<uint8_t> recent;    // Symbol ring, max_window + 1 wide.
   };
 
-  /// Fails if max_window < 1, alpha outside (0, 1) (when the calibrated
-  /// path is active), or rearm_fraction < 0 / NaN.
+  /// Upper bound of Options::max_window. The detector allocates a
+  /// max_window + 1 byte ring, and the bound keeps one request (a wire
+  /// STREAM.CREATE, a CLI flag) from asking for an arbitrary allocation.
+  static constexpr int64_t kMaxWindow = 1'000'000'000;
+
+  /// Fails if max_window is outside [1, kMaxWindow], alpha outside
+  /// (0, 1) (when the calibrated path is active), or rearm_fraction < 0 /
+  /// NaN.
   static Result<StreamingDetector> Make(const seq::MultinomialModel& model,
                                         Options options);
 
@@ -145,9 +151,10 @@ class StreamingDetector {
   Result<std::optional<Alarm>> TryAppend(uint8_t symbol);
 
   /// Feeds a chunk of symbols and returns every alarm raised inside it,
-  /// ordered by (end, length). Bit-identical to feeding the symbols
-  /// through Append one at a time (same kernel, same per-scale operation
-  /// order), but amortizes ring maintenance and evaluates the chunk one
+  /// ordered by (end, length). Equivalent to feeding the symbols through
+  /// Append one at a time: the same counter state and hysteresis order,
+  /// and alarm X² values equal to ~1e-12 relative (see the class
+  /// comment). It amortizes ring maintenance and evaluates the chunk one
   /// scale at a time — the batched-ingestion hot path. Aborts on an
   /// out-of-range symbol (checked up front, before any state changes).
   std::vector<Alarm> AppendChunk(std::span<const uint8_t> symbols);

@@ -8,6 +8,7 @@
 
 #include "common/fnv1a.h"
 #include "common/str_util.h"
+#include "engine/fingerprint.h"
 #include "io/csv.h"
 
 namespace sigsub {
@@ -173,13 +174,36 @@ Result<Corpus> Corpus::FromMappedFile(const std::string& path,
   return corpus;
 }
 
-Result<seq::PrefixCounts> Corpus::BuildMappedPrefixCounts() const {
-  if (!is_mapped()) {
-    return Status::InvalidArgument(
-        "BuildMappedPrefixCounts requires a mapped corpus");
-  }
+int64_t Corpus::record_size(int64_t index) const {
+  return is_mapped() ? static_cast<int64_t>(mapped_record_.size())
+                     : sequence(index).size();
+}
+
+std::string_view Corpus::record_bytes(int64_t index) const {
+  if (!is_mapped()) return text(index);
+  return std::string_view(reinterpret_cast<const char*>(mapped_record_.data()),
+                          mapped_record_.size());
+}
+
+uint64_t Corpus::fingerprint(int64_t index) const {
+  return is_mapped() ? mapped_fingerprint_
+                     : FingerprintSequence(sequence(index));
+}
+
+seq::PrefixCounts Corpus::BuildPrefixCounts(int64_t index) const {
+  if (!is_mapped()) return seq::PrefixCounts(sequence(index));
+  // The bytes were validated against the alphabet at load, so the build
+  // cannot fail.
   return seq::PrefixCounts::FromBytes(mapped_record_, decode_,
-                                      alphabet_.size());
+                                      alphabet_.size())
+      .value();
+}
+
+Result<core::SuffixScan> Corpus::BuildSuffixScan(int64_t index) const {
+  const int k = alphabet_.size();
+  return is_mapped()
+             ? core::SuffixScan::BuildMapped(mapped_record_, decode_, k)
+             : core::SuffixScan::Build(sequence(index).symbols(), k);
 }
 
 std::string Corpus::InferAlphabetChars(

@@ -6,9 +6,11 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "core/suffix_scan.h"
 #include "io/mmap_corpus.h"
 #include "seq/alphabet.h"
 #include "seq/prefix_counts.h"
@@ -50,11 +52,8 @@ class Corpus {
   /// other byte is data. The alphabet is inferred over the mapped bytes
   /// with the same rule as the text loaders (streamed, no decoded copy)
   /// unless `alphabet_chars` pins it, in which case every byte must be in
-  /// it. A mapped corpus has no `sequence()`/`text()`: consumers read
-  /// `mapped_record()` through `decode_table()`, build counts with
-  /// BuildMappedPrefixCounts(), and key caches on `mapped_fingerprint()`
-  /// (identical to FingerprintSequence of the decoded record, computed
-  /// streaming).
+  /// it. A mapped corpus has no `sequence()`/`text()`; the record
+  /// accessors below serve both kinds of corpus.
   static Result<Corpus> FromMappedFile(const std::string& path,
                                        const std::string& alphabet_chars = "");
 
@@ -94,16 +93,33 @@ class Corpus {
   std::span<const uint8_t> mapped_record() const { return mapped_record_; }
   const std::array<uint8_t, 256>& decode_table() const { return decode_; }
 
-  /// FNV-1a fingerprint of the mapped record's decoded content —
-  /// bit-identical to engine::FingerprintSequence of the same record
-  /// loaded through a text path, so cache entries are shared across
-  /// loaders.
-  uint64_t mapped_fingerprint() const { return mapped_fingerprint_; }
+  // Record accessors: the one place that chooses between the mapped
+  // bytes and a decoded sequence, so callers never branch on is_mapped().
 
-  /// Chunk-streamed seq::PrefixCounts over the mapped record (the O(n·k)
-  /// layout — callers opting into interval kernels on mapped input; the
-  /// suffix path does not need it).
-  Result<seq::PrefixCounts> BuildMappedPrefixCounts() const;
+  /// Symbols in record `index`.
+  int64_t record_size(int64_t index) const;
+
+  /// Record `index` as the input spelled it, one byte per symbol (the
+  /// mapped bytes, or the record's text) — for rendering substrings.
+  std::string_view record_bytes(int64_t index) const;
+
+  /// FNV-1a fingerprint of record `index`'s decoded content
+  /// (engine::FingerprintSequence), the same whichever loader read the
+  /// record, so cache entries are shared across loaders. Decoded records
+  /// hash on each call (O(n)); the mapped record was hashed, streaming,
+  /// at load.
+  uint64_t fingerprint(int64_t index) const;
+
+  /// seq::PrefixCounts over record `index` (the O(n·k) layout of the
+  /// interval kernels). The mapped record is chunk-streamed through
+  /// decode_table(), without a decoded copy.
+  seq::PrefixCounts BuildPrefixCounts(int64_t index) const;
+
+  /// The suffix index over record `index` (the decoded symbols, or the
+  /// mapped bytes through decode_table()). The index borrows the corpus's
+  /// storage, so the corpus must outlive it. Fails only past the index's
+  /// 2^31 − 2 symbol limit.
+  Result<core::SuffixScan> BuildSuffixScan(int64_t index) const;
 
  private:
   Corpus(seq::Alphabet alphabet, std::vector<seq::Sequence> sequences,

@@ -1,14 +1,11 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -29,7 +26,6 @@
 #include "core/threshold.h"
 #include "core/top_disjoint.h"
 #include "core/top_t.h"
-#include "engine/fingerprint.h"
 #include "seq/model.h"
 #include "seq/prefix_counts.h"
 #include "stats/chi_squared.h"
@@ -49,57 +45,24 @@ struct SequenceState {
   uint64_t fingerprint = 0;
 
   const seq::PrefixCounts& CountsFor(const Corpus& corpus, int64_t index) {
-    std::call_once(build_once, [&] {
-      if (corpus.is_mapped()) {
-        // Chunk-streamed from the mapped bytes; the bytes were validated
-        // against the alphabet at load, so the build cannot fail.
-        counts.emplace(std::move(corpus.BuildMappedPrefixCounts()).value());
-      } else {
-        counts.emplace(corpus.sequence(index));
-      }
-    });
+    std::call_once(build_once,
+                   [&] { counts.emplace(corpus.BuildPrefixCounts(index)); });
     return *counts;
   }
 };
 
-/// One corpus record as the kernels see it: either a decoded sequence or
-/// the mapped bytes plus their decode table (never both). Kernels that
-/// need a decoded seq::Sequence (arlm, agmm, blocked, Markov MSS) were
-/// rejected at validation for mapped corpora, so they may dereference
-/// `sequence` unconditionally.
-struct RecordView {
-  const seq::Sequence* sequence = nullptr;
-  std::span<const uint8_t> mapped_bytes;
-  const std::array<uint8_t, 256>* decode = nullptr;
-  int64_t size = 0;
-
-  static RecordView For(const Corpus& corpus, int64_t index) {
-    RecordView view;
-    if (corpus.is_mapped()) {
-      view.mapped_bytes = corpus.mapped_record();
-      view.decode = &corpus.decode_table();
-      view.size = static_cast<int64_t>(view.mapped_bytes.size());
-    } else {
-      view.sequence = &corpus.sequence(index);
-      view.size = view.sequence->size();
-    }
-    return view;
-  }
-};
-
-/// Everything a query needs resolved before its kernel can run: the
-/// multinomial context (or the Markov model for a Markov-model MSS
-/// query) and the threshold cutoff with any alpha_p already converted.
-/// Built during validation, one entry per query.
+/// Everything a query needs resolved before its kernel can run: the null
+/// model (a multinomial context, or the Markov model of a Markov-model
+/// query), the threshold cutoff with any alpha_p already converted, and
+/// a substrings query's scan options. Built during validation, one entry
+/// per query.
 struct QueryPlan {
   const api::QuerySpec* spec = nullptr;
   api::QueryKind kind = api::QueryKind::kMss;
-  const core::ChiSquareContext* context = nullptr;  // null for Markov.
+  const core::ChiSquareContext* context = nullptr;  // Null for Markov.
   const seq::MarkovModel* markov = nullptr;
-  double alpha0 = -1.0;  // kThreshold: resolved X² cutoff.
-  // kSubstrings: resolved X² floor (alpha_p converted at the kind's
-  // degrees of freedom — k−1 multinomial, k(k−1) Markov).
-  double min_x2 = -std::numeric_limits<double>::infinity();
+  double alpha0 = -1.0;          // kThreshold: resolved X² cutoff.
+  core::SuffixScanOptions scan;  // kSubstrings: SuffixScanOptionsFor.
 };
 
 Status QueryError(size_t index, api::QueryKind kind,
@@ -314,65 +277,49 @@ CachedResult SubstringsCachedResult(core::SuffixScanResult result,
   return out;
 }
 
-/// Runs a substrings query: builds the suffix index over the record (the
-/// decoded symbols, or the mapped bytes through their decode table) and
+/// Runs a substrings query: builds the suffix index over the record and
 /// sweeps it with the plan's scorer. No PrefixCounts are consumed — this
 /// is the path that keeps peak memory at SA+LCP instead of 8·k bytes per
 /// position.
-CachedResult RunSubstringsKernel(const QueryPlan& plan,
-                                 const RecordView& view,
+CachedResult RunSubstringsKernel(const QueryPlan& plan, const Corpus& corpus,
                                  core::ScanStats* stats) {
-  const auto& q = std::get<api::SubstringsQuery>(plan.spec->request);
-  core::SuffixScanOptions options;
-  options.top_n = q.top;
-  options.min_length = q.min_length;
-  options.max_length = q.max_length;
-  options.min_count = q.min_count;
-  options.maximal_only = q.maximal;
-  options.min_x2 = plan.min_x2;
-
-  const int k = plan.context->alphabet_size();
   // Validation pinned every parameter and the record bytes, so the
-  // builds/scans cannot fail here.
+  // build and scans cannot fail here.
   core::SuffixScan scan =
-      view.sequence != nullptr
-          ? core::SuffixScan::Build(view.sequence->symbols(), k).value()
-          : core::SuffixScan::BuildMapped(view.mapped_bytes, *view.decode, k)
-                .value();
+      corpus.BuildSuffixScan(plan.spec->sequence_index).value();
   if (plan.markov != nullptr) {
     core::MarkovChiSquare markov =
         core::MarkovChiSquare::Make(*plan.markov).value();
-    return SubstringsCachedResult(scan.ScanMarkov(markov, options).value(),
+    return SubstringsCachedResult(scan.ScanMarkov(markov, plan.scan).value(),
                                   stats);
   }
-  return SubstringsCachedResult(scan.Scan(*plan.context, options).value(),
+  return SubstringsCachedResult(scan.Scan(*plan.context, plan.scan).value(),
                                 stats);
 }
 
-/// Runs the query's kernel against prebuilt state. Pure function of its
-/// inputs — safe to call concurrently for distinct queries. `counts` is
-/// null exactly for Markov-model queries and substrings queries, whose
-/// kernels never read prefix counts (the caller skips the O(k·n) build
-/// entirely).
-CachedResult RunQueryKernel(const QueryPlan& plan, const RecordView& view,
-                            const seq::PrefixCounts* counts_ptr,
-                            core::ScanStats* stats) {
-  const core::ChiSquareContext& context = *plan.context;
-  CachedResult out;
+/// Runs the query's kernel over its record. Safe to call concurrently for
+/// distinct queries: the record's PrefixCounts are built once, on first
+/// use, and only for the kernels that read them.
+CachedResult RunQueryKernel(const QueryPlan& plan, const Corpus& corpus,
+                            SequenceState* state, core::ScanStats* stats) {
+  const int64_t index = plan.spec->sequence_index;
   if (plan.kind == api::QueryKind::kSubstrings) {
-    return RunSubstringsKernel(plan, view, stats);
+    return RunSubstringsKernel(plan, corpus, stats);
   }
   if (plan.markov != nullptr) {
-    if (view.size < 2) {
+    const seq::Sequence& sequence = corpus.sequence(index);
+    if (sequence.size() < 2) {
       // No transition to score; the kernel contract needs >= 2 symbols.
       return MssCachedResult(core::Substring{});
     }
     core::MssResult result =
-        core::FindMssMarkov(*view.sequence, *plan.markov).value();
+        core::FindMssMarkov(sequence, *plan.markov).value();
     *stats = result.stats;
     return MssCachedResult(result.best);
   }
-  const seq::PrefixCounts& counts = *counts_ptr;
+  const seq::PrefixCounts& counts = state->CountsFor(corpus, index);
+  const core::ChiSquareContext& context = *plan.context;
+  CachedResult out;
   switch (plan.kind) {
     case api::QueryKind::kMss: {
       core::MssResult result = core::FindMss(counts, context);
@@ -422,7 +369,7 @@ CachedResult RunQueryKernel(const QueryPlan& plan, const RecordView& view,
     }
     case api::QueryKind::kLengthBounded: {
       const auto& q = std::get<api::LengthBoundedQuery>(plan.spec->request);
-      const int64_t n = view.size;
+      const int64_t n = counts.sequence_size();
       const int64_t max_length = q.max_length == 0 ? n : q.max_length;
       if (n < q.min_length || max_length < q.min_length) {
         // No substring can satisfy the window; the kernel contract
@@ -438,22 +385,22 @@ CachedResult RunQueryKernel(const QueryPlan& plan, const RecordView& view,
     }
     case api::QueryKind::kArlm: {
       core::MssResult result =
-          core::FindMssArlm(*view.sequence, counts, context);
+          core::FindMssArlm(corpus.sequence(index), counts, context);
       out = MssCachedResult(result.best);
       *stats = result.stats;
       break;
     }
     case api::QueryKind::kAgmm: {
       core::MssResult result =
-          core::FindMssAgmm(*view.sequence, counts, context);
+          core::FindMssAgmm(corpus.sequence(index), counts, context);
       out = MssCachedResult(result.best);
       *stats = result.stats;
       break;
     }
     case api::QueryKind::kBlocked: {
       const auto& q = std::get<api::BlockedQuery>(plan.spec->request);
-      core::MssResult result = core::FindMssBlocked(*view.sequence, counts,
-                                                    context, q.block_size);
+      core::MssResult result = core::FindMssBlocked(
+          corpus.sequence(index), counts, context, q.block_size);
       out = MssCachedResult(result.best);
       *stats = result.stats;
       break;
@@ -507,6 +454,26 @@ void FillPayload(api::QueryKind kind, const CachedResult& computed,
 
 }  // namespace
 
+core::SuffixScanOptions SuffixScanOptionsFor(const api::SubstringsQuery& query,
+                                             int k, bool markov) {
+  core::SuffixScanOptions options;
+  options.top_n = query.top;
+  options.min_length = query.min_length;
+  options.max_length = query.max_length;
+  options.min_count = query.min_count;
+  options.maximal_only = query.maximal;
+  // Same precedence as threshold queries, at the statistic's own degrees
+  // of freedom. Neither set keeps the default -inf floor.
+  if (query.alpha_p >= 0.0) {
+    const int dof = markov ? k * (k - 1) : k - 1;
+    options.min_x2 =
+        stats::ChiSquaredDistribution(dof).CriticalValue(query.alpha_p);
+  } else if (query.alpha0 >= 0.0) {
+    options.min_x2 = query.alpha0;
+  }
+  return options;
+}
+
 Engine::Engine(EngineOptions options)
     : cache_(options.cache_capacity),
       pool_(options.num_threads),
@@ -534,8 +501,8 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
   // Validate every query and build its execution plan: distinct
   // multinomial models resolve to one shared ChiSquareContext each
   // (ChiSquareContext::Make re-validates values ValidateModel cannot
-  // judge cheaply — normalization, positivity); Markov-model MSS queries
-  // get a seq::MarkovModel. Any failure names the query and field and
+  // judge cheaply — normalization, positivity); Markov-model queries get
+  // a seq::MarkovModel instead. Any failure names the query and field and
   // fails the batch before a kernel runs.
   const std::vector<double> uniform(static_cast<size_t>(k), 1.0 / k);
   struct ModelState {
@@ -570,26 +537,24 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
       markov_models.push_back(
           std::make_unique<seq::MarkovModel>(std::move(markov).value()));
       plan.markov = markov_models.back().get();
-    }
-
-    // Every kernel but the Markov scan consumes a multinomial context;
-    // Markov MSS queries still get the uniform one so the shared
-    // PrefixCounts plumbing stays uniform (the kernel ignores it).
-    const std::vector<double>& probs =
-        spec.model.kind == api::ModelKind::kMultinomial ? spec.model.probs
-                                                        : uniform;
-    auto [it, inserted] = models.try_emplace(probs);
-    if (inserted) {
-      auto context = core::ChiSquareContext::Make(probs, x2_dispatch_);
-      if (!context.ok()) {
-        models.erase(it);
-        return QueryError(i, plan.kind,
-                          StrCat("field model: ", context.status().message()));
+    } else {
+      const std::vector<double>& probs =
+          spec.model.kind == api::ModelKind::kMultinomial ? spec.model.probs
+                                                          : uniform;
+      auto [it, inserted] = models.try_emplace(probs);
+      if (inserted) {
+        auto context = core::ChiSquareContext::Make(probs, x2_dispatch_);
+        if (!context.ok()) {
+          models.erase(it);
+          return QueryError(
+              i, plan.kind,
+              StrCat("field model: ", context.status().message()));
+        }
+        it->second = std::make_unique<ModelState>(
+            ModelState{std::move(context).value()});
       }
-      it->second = std::make_unique<ModelState>(
-          ModelState{std::move(context).value()});
+      plan.context = &it->second->context;
     }
-    plan.context = &it->second->context;
 
     if (const auto* q = std::get_if<api::ThresholdQuery>(&spec.request)) {
       // alpha_p converts once per batch, not once per candidate; when
@@ -601,16 +566,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
                         : q->alpha0;
     } else if (const auto* q =
                    std::get_if<api::SubstringsQuery>(&spec.request)) {
-      // Same precedence as threshold, at the statistic's own degrees of
-      // freedom. Neither set -> -inf (everything qualifies).
-      const int dof =
-          plan.markov != nullptr ? k * (k - 1) : k - 1;
-      if (q->alpha_p >= 0.0) {
-        plan.min_x2 =
-            stats::ChiSquaredDistribution(dof).CriticalValue(q->alpha_p);
-      } else if (q->alpha0 >= 0.0) {
-        plan.min_x2 = q->alpha0;
-      }
+      plan.scan = SuffixScanOptionsFor(*q, k, plan.markov != nullptr);
     }
   }
 
@@ -623,12 +579,7 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     auto& state = states[static_cast<size_t>(spec.sequence_index)];
     if (state) continue;
     state = std::make_unique<SequenceState>();
-    // Mapped records carry a precomputed streaming fingerprint with the
-    // same byte semantics, so cache identity is loader-independent.
-    state->fingerprint =
-        corpus.is_mapped()
-            ? corpus.mapped_fingerprint()
-            : FingerprintSequence(corpus.sequence(spec.sequence_index));
+    state->fingerprint = corpus.fingerprint(spec.sequence_index);
   }
 
   // Resolve cache hits; group the misses by cache key so identical
@@ -656,107 +607,77 @@ Result<std::vector<api::QueryResult>> Engine::ExecuteQueries(
     miss_groups[key].push_back(i);
   }
 
-  // Publishes a computed payload to the group's QueryResults and the
-  // cache. Duplicates are served by the lead's run: payload identical,
-  // flagged as cache hits, no scan stats of their own.
-  auto publish = [&](const std::vector<size_t>& indices, const CacheKey& key,
-                     CachedResult computed, const core::ScanStats& stats) {
-    api::QueryResult& lead = results[indices.front()];
-    FillPayload(lead.kind, computed, stats, &lead);
-    for (size_t d = 1; d < indices.size(); ++d) {
-      api::QueryResult& dup = results[indices[d]];
-      FillPayload(dup.kind, computed, core::ScanStats{}, &dup);
-      dup.cache_hit = true;
-    }
-    cache_.Insert(key, std::move(computed));
-  };
-
-  // Per sharded group: the shared skip bound and one result slot per
-  // shard, merged on the orchestrating thread after the pool drains.
-  struct ShardedGroup {
-    const CacheKey* key;
-    const std::vector<size_t>* indices;
+  // One record per miss group: its kernel task writes `payload` and the
+  // lead's `stats`. A sharded group's tasks write one slot of `shards`
+  // each instead, sharing the skip bound `shared_best`, and are merged
+  // after the pool drains.
+  struct MissGroup {
+    const CacheKey* key = nullptr;
+    const std::vector<size_t>* indices = nullptr;
+    CachedResult payload;
+    core::ScanStats stats;
     core::AtomicMax shared_best;
     std::vector<core::MssResult> shards;
   };
-  std::vector<std::unique_ptr<ShardedGroup>> sharded;
-  // Scan stats of each miss group's lead, written by the kernel task and
-  // published after the pool drains.
-  std::vector<core::ScanStats> group_stats(miss_groups.size());
-  std::vector<std::pair<const CacheKey*, CachedResult>> group_payloads(
-      miss_groups.size());
-
-  size_t group_index = 0;
+  std::vector<MissGroup> groups(miss_groups.size());
+  size_t next_group = 0;
   for (const auto& [key, query_indices] : miss_groups) {
-    const size_t g = group_index++;
-    const QueryPlan& plan = plans[query_indices.front()];
-    const api::QuerySpec& spec = *plan.spec;
-    const int64_t seq_index = spec.sequence_index;
+    MissGroup* group = &groups[next_group++];
+    group->key = &key;
+    group->indices = &query_indices;
+    const QueryPlan* plan = &plans[query_indices.front()];
+    const int64_t seq_index = plan->spec->sequence_index;
     SequenceState* state = states[static_cast<size_t>(seq_index)].get();
-    const RecordView view = RecordView::For(corpus, seq_index);
+    const Corpus* corpus_ptr = &corpus;
 
     // In-record sharding: one oversized multinomial MSS record is strided
     // across the pool instead of pinning a single worker. (Markov MSS has
     // no sharded kernel; it runs sequentially like every other kind.)
-    const int64_t n = view.size;
-    int num_shards = static_cast<int>(std::min<int64_t>(
+    const int64_t n = corpus.record_size(seq_index);
+    const int num_shards = static_cast<int>(std::min<int64_t>(
         pool_.num_threads(), std::max<int64_t>(1, n)));
-    if (plan.kind == api::QueryKind::kMss && plan.markov == nullptr &&
+    if (plan->kind == api::QueryKind::kMss && plan->markov == nullptr &&
         shard_min_sequence_ > 0 && n >= shard_min_sequence_ &&
         num_shards > 1) {
-      auto group = std::make_unique<ShardedGroup>();
-      group->key = &key;
-      group->indices = &query_indices;
       group->shards.resize(static_cast<size_t>(num_shards));
-      const core::ChiSquareContext* context = plan.context;
-      const Corpus* corpus_ptr = &corpus;
       for (int shard = 0; shard < num_shards; ++shard) {
-        ShardedGroup* gr = group.get();
-        pool_.Submit([state, corpus_ptr, seq_index, context, shard,
-                      num_shards, gr] {
+        pool_.Submit([state, corpus_ptr, seq_index, plan, shard, num_shards,
+                      group] {
           // First shard to arrive builds the record's counts; the rest
           // block on call_once only until that build finishes.
           const seq::PrefixCounts& counts =
               state->CountsFor(*corpus_ptr, seq_index);
-          gr->shards[static_cast<size_t>(shard)] = core::MssShardScan(
-              counts, *context, shard, num_shards, &gr->shared_best);
+          group->shards[static_cast<size_t>(shard)] =
+              core::MssShardScan(counts, *plan->context, shard, num_shards,
+                                 &group->shared_best);
         });
       }
-      sharded.push_back(std::move(group));
       continue;
     }
-
-    const QueryPlan* plan_ptr = &plan;
-    const Corpus* corpus_ptr = &corpus;
-    core::ScanStats* stats = &group_stats[g];
-    CachedResult* payload = &group_payloads[g].second;
-    group_payloads[g].first = &key;
-    pool_.Submit([plan_ptr, state, corpus_ptr, seq_index, view, stats,
-                  payload] {
-      // Markov and substrings kernels never read prefix counts; skip the
-      // O(k·n) build (for substrings that skip IS the memory win).
-      const seq::PrefixCounts* counts =
-          plan_ptr->markov == nullptr &&
-                  plan_ptr->kind != api::QueryKind::kSubstrings
-              ? &state->CountsFor(*corpus_ptr, seq_index)
-              : nullptr;
-      *payload = RunQueryKernel(*plan_ptr, view, counts, stats);
+    pool_.Submit([plan, corpus_ptr, state, group] {
+      group->payload = RunQueryKernel(*plan, *corpus_ptr, state, &group->stats);
     });
   }
   pool_.Wait();
 
-  // Publish sequential groups, then merge and publish the sharded ones.
-  group_index = 0;
-  for (const auto& [key, query_indices] : miss_groups) {
-    const size_t g = group_index++;
-    if (group_payloads[g].first == nullptr) continue;  // Sharded group.
-    publish(query_indices, key, std::move(group_payloads[g].second),
-            group_stats[g]);
-  }
-  for (const std::unique_ptr<ShardedGroup>& group : sharded) {
-    core::MssResult merged = core::MergeShardResults(group->shards);
-    publish(*group->indices, *group->key, MssCachedResult(merged.best),
-            merged.stats);
+  // Publish every group to its QueryResults and the cache. Duplicates are
+  // served by the lead's run: payload identical, flagged as cache hits,
+  // no scan stats of their own.
+  for (MissGroup& group : groups) {
+    if (!group.shards.empty()) {
+      core::MssResult merged = core::MergeShardResults(group.shards);
+      group.payload = MssCachedResult(merged.best);
+      group.stats = merged.stats;
+    }
+    const std::vector<size_t>& indices = *group.indices;
+    api::QueryResult& lead = results[indices.front()];
+    FillPayload(lead.kind, group.payload, group.stats, &lead);
+    for (size_t d = 1; d < indices.size(); ++d) {
+      api::QueryResult& dup = results[indices[d]];
+      FillPayload(dup.kind, group.payload, core::ScanStats{}, &dup);
+      dup.cache_hit = true;
+    }
+    cache_.Insert(*group.key, std::move(group.payload));
   }
   queries_executed_.fetch_add(static_cast<int64_t>(queries.size()),
                               std::memory_order_relaxed);

@@ -9,6 +9,7 @@
 #include "api/query.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "core/suffix_scan.h"
 #include "core/x2_dispatch.h"
 #include "engine/corpus.h"
 #include "engine/result_cache.h"
@@ -36,6 +37,16 @@ struct EngineOptions {
   /// for audits; kAuto follows the process default (typically SIMD).
   core::X2Dispatch x2_dispatch = core::X2Dispatch::kAuto;
 };
+
+/// Lowers a substrings query to suffix-scan options — the one place a
+/// SubstringsQuery becomes core::SuffixScanOptions. The X² floor resolves
+/// alpha_p (which wins when both cutoffs are set) through the χ² critical
+/// value at the statistic's degrees of freedom: k−1 for a multinomial
+/// null, k(k−1) for an order-1 Markov null (`markov`). With neither set
+/// every candidate qualifies. Positions are not collected; a caller that
+/// reports them sets collect_positions.
+core::SuffixScanOptions SuffixScanOptionsFor(const api::SubstringsQuery& query,
+                                             int k, bool markov);
 
 /// Concurrent batch-mining engine: executes heterogeneous mining queries
 /// (every sequence kernel — mss, topt, disjoint, threshold, minlen,

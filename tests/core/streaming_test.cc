@@ -35,6 +35,17 @@ TEST(StreamingDetectorTest, MakeValidates) {
   bad_window.max_window = 0;
   EXPECT_TRUE(
       StreamingDetector::Make(model, bad_window).status().IsInvalidArgument());
+  // The window sizes a max_window + 1 byte ring: bounded at 10^9.
+  StreamingDetector::Options huge_window;
+  huge_window.max_window = 100'000'000'000;
+  auto huge = StreamingDetector::Make(model, huge_window);
+  ASSERT_TRUE(huge.status().IsInvalidArgument());
+  EXPECT_EQ(huge.status().message(),
+            "max_window must be in [1, 1000000000], got 100000000000");
+  huge_window.max_window = StreamingDetector::kMaxWindow + 1;
+  EXPECT_TRUE(
+      StreamingDetector::Make(model, huge_window).status().IsInvalidArgument());
+  EXPECT_EQ(StreamingDetector::kMaxWindow, 1'000'000'000);
   StreamingDetector::Options bad_alpha;
   bad_alpha.alpha = 0.0;  // Calibrated path needs alpha in (0, 1).
   EXPECT_TRUE(
@@ -234,7 +245,8 @@ TEST(StreamingDetectorTest, AppendChunkMatchesPerSymbolAppend) {
   // reorders floating-point work; it reseeds at every chunk boundary).
   // Compared across several chunk sizes, against both Append and
   // single-symbol AppendChunk (whose event list is complete, unlike
-  // Append's strongest-only return).
+  // Append's strongest-only return), for every hysteresis regime: a rearm
+  // level below, at and above the threshold, and none at all.
   seq::Rng rng(67);
   auto model = seq::MultinomialModel::Uniform(4);
   auto stream = seq::GenerateRegimes(
@@ -248,51 +260,81 @@ TEST(StreamingDetectorTest, AppendChunkMatchesPerSymbolAppend) {
   ASSERT_TRUE(stream.ok());
   std::span<const uint8_t> symbols = stream->symbols();
 
-  StreamingDetector::Options options;
-  options.max_window = 300;  // Non-dyadic max, wraps the ring often.
-  options.alpha = 1e-4;
+  for (double rearm_fraction :
+       {0.5, 1.0, 1.5, 3.0, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(::testing::Message() << "rearm_fraction=" << rearm_fraction);
+    StreamingDetector::Options options;
+    options.max_window = 300;  // Non-dyadic max, wraps the ring often.
+    options.alpha = 1e-4;
+    options.rearm_fraction = rearm_fraction;
 
-  auto reference = StreamingDetector::Make(model, options).value();
-  std::vector<StreamingDetector::Alarm> reference_alarms;
-  for (size_t i = 0; i < symbols.size(); ++i) {
-    // Single-symbol chunks return every alarm event (no strongest-only
-    // filtering), giving the complete reference event list.
-    for (const auto& alarm : reference.AppendChunk(symbols.subspan(i, 1))) {
-      reference_alarms.push_back(alarm);
-    }
-  }
-
-  auto per_symbol = StreamingDetector::Make(model, options).value();
-  for (size_t i = 0; i < symbols.size(); ++i) per_symbol.Append(symbols[i]);
-  EXPECT_EQ(per_symbol.alarms_raised(), reference.alarms_raised());
-  EXPECT_EQ(per_symbol.CurrentChiSquares(), reference.CurrentChiSquares());
-
-  for (size_t chunk :
-       {size_t{7}, size_t{64}, size_t{301}, size_t{4096}, symbols.size()}) {
-    auto chunked = StreamingDetector::Make(model, options).value();
-    std::vector<StreamingDetector::Alarm> chunked_alarms;
-    for (size_t offset = 0; offset < symbols.size(); offset += chunk) {
-      size_t take = std::min(chunk, symbols.size() - offset);
-      for (const auto& alarm :
-           chunked.AppendChunk(symbols.subspan(offset, take))) {
-        chunked_alarms.push_back(alarm);
+    auto reference = StreamingDetector::Make(model, options).value();
+    std::vector<StreamingDetector::Alarm> reference_alarms;
+    for (size_t i = 0; i < symbols.size(); ++i) {
+      // Single-symbol chunks return every alarm event (no strongest-only
+      // filtering), giving the complete reference event list.
+      for (const auto& alarm : reference.AppendChunk(symbols.subspan(i, 1))) {
+        reference_alarms.push_back(alarm);
       }
     }
-    ASSERT_EQ(chunked.position(), reference.position()) << "chunk=" << chunk;
-    // Bit-identical final window state...
-    EXPECT_EQ(chunked.CurrentChiSquares(), reference.CurrentChiSquares())
-        << "chunk=" << chunk;
-    // ...and the identical alarm-event sequence.
-    ASSERT_EQ(chunked_alarms.size(), reference_alarms.size())
-        << "chunk=" << chunk;
-    for (size_t a = 0; a < chunked_alarms.size(); ++a) {
-      EXPECT_EQ(chunked_alarms[a].end, reference_alarms[a].end);
-      EXPECT_EQ(chunked_alarms[a].length, reference_alarms[a].length);
-      EXPECT_NEAR(chunked_alarms[a].chi_square,
-                  reference_alarms[a].chi_square,
-                  1e-9 * (1.0 + reference_alarms[a].chi_square));
+    EXPECT_GT(reference_alarms.size(), 0u) << "planted bursts never alarmed";
+
+    // Per-symbol Append raises the same events: the same total, and its
+    // strongest alarm at exactly the positions where the list has one.
+    auto per_symbol = StreamingDetector::Make(model, options).value();
+    std::vector<StreamingDetector::Alarm> strongest;
+    for (size_t i = 0; i < symbols.size(); ++i) {
+      if (auto alarm = per_symbol.Append(symbols[i])) {
+        strongest.push_back(*alarm);
+      }
     }
-    EXPECT_GT(chunked_alarms.size(), 0u) << "planted bursts never alarmed";
+    EXPECT_EQ(per_symbol.alarms_raised(), reference.alarms_raised());
+    EXPECT_EQ(reference.alarms_raised(),
+              static_cast<int64_t>(reference_alarms.size()));
+    EXPECT_EQ(per_symbol.CurrentChiSquares(), reference.CurrentChiSquares());
+    std::vector<StreamingDetector::Alarm> reference_strongest;
+    for (const auto& alarm : reference_alarms) {
+      if (reference_strongest.empty() ||
+          reference_strongest.back().end != alarm.end) {
+        reference_strongest.push_back(alarm);
+      } else if (alarm.chi_square > reference_strongest.back().chi_square) {
+        reference_strongest.back() = alarm;
+      }
+    }
+    ASSERT_EQ(strongest.size(), reference_strongest.size());
+    for (size_t a = 0; a < strongest.size(); ++a) {
+      EXPECT_EQ(strongest[a].end, reference_strongest[a].end);
+      EXPECT_NEAR(strongest[a].chi_square, reference_strongest[a].chi_square,
+                  1e-9 * (1.0 + reference_strongest[a].chi_square));
+    }
+
+    for (size_t chunk :
+         {size_t{7}, size_t{64}, size_t{301}, size_t{4096}, symbols.size()}) {
+      auto chunked = StreamingDetector::Make(model, options).value();
+      std::vector<StreamingDetector::Alarm> chunked_alarms;
+      for (size_t offset = 0; offset < symbols.size(); offset += chunk) {
+        size_t take = std::min(chunk, symbols.size() - offset);
+        for (const auto& alarm :
+             chunked.AppendChunk(symbols.subspan(offset, take))) {
+          chunked_alarms.push_back(alarm);
+        }
+      }
+      ASSERT_EQ(chunked.position(), reference.position())
+          << "chunk=" << chunk;
+      // Bit-identical final window state...
+      EXPECT_EQ(chunked.CurrentChiSquares(), reference.CurrentChiSquares())
+          << "chunk=" << chunk;
+      // ...and the identical alarm-event sequence.
+      ASSERT_EQ(chunked_alarms.size(), reference_alarms.size())
+          << "chunk=" << chunk;
+      for (size_t a = 0; a < chunked_alarms.size(); ++a) {
+        EXPECT_EQ(chunked_alarms[a].end, reference_alarms[a].end);
+        EXPECT_EQ(chunked_alarms[a].length, reference_alarms[a].length);
+        EXPECT_NEAR(chunked_alarms[a].chi_square,
+                    reference_alarms[a].chi_square,
+                    1e-9 * (1.0 + reference_alarms[a].chi_square));
+      }
+    }
   }
 }
 

@@ -737,6 +737,31 @@ TEST(QueryEngineTest, SubstringsAlphaPConvertsViaCriticalValue) {
   EXPECT_EQ(results[2].match_count(), results[0].match_count());
 }
 
+TEST(QueryEngineTest, SuffixScanOptionsForLowersEveryField) {
+  // Every field is carried over; positions stay off.
+  const api::SubstringsQuery query{7, 2, 9, 3, false, 4.5, -1.0};
+  core::SuffixScanOptions options = SuffixScanOptionsFor(query, 4, false);
+  EXPECT_EQ(options.top_n, 7);
+  EXPECT_EQ(options.min_length, 2);
+  EXPECT_EQ(options.max_length, 9);
+  EXPECT_EQ(options.min_count, 3);
+  EXPECT_FALSE(options.maximal_only);
+  EXPECT_FALSE(options.collect_positions);
+  EXPECT_EQ(options.min_x2, 4.5);
+
+  // alpha_p wins over alpha0, at k−1 degrees of freedom for a
+  // multinomial null and k(k−1) for a Markov one.
+  const api::SubstringsQuery by_p{10, 1, 0, 2, true, 4.5, 0.01};
+  EXPECT_EQ(SuffixScanOptionsFor(by_p, 4, false).min_x2,
+            stats::ChiSquaredDistribution(3).CriticalValue(0.01));
+  EXPECT_EQ(SuffixScanOptionsFor(by_p, 4, true).min_x2,
+            stats::ChiSquaredDistribution(12).CriticalValue(0.01));
+
+  // Neither cutoff set: every candidate qualifies.
+  EXPECT_EQ(SuffixScanOptionsFor(api::SubstringsQuery{}, 2, false).min_x2,
+            -std::numeric_limits<double>::infinity());
+}
+
 TEST(QueryEngineTest, SubstringsValidationNamesField) {
   Corpus corpus = MakeCorpus();
   Engine engine;

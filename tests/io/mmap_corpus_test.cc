@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/chi_square.h"
+#include "core/suffix_scan.h"
 #include "engine/corpus.h"
 #include "engine/fingerprint.h"
 #include "gtest/gtest.h"
@@ -127,15 +129,21 @@ TEST_F(MmapCorpusTest, MappedCorpusMatchesTextLoader) {
             decoded.alphabet().characters());
   ASSERT_EQ(mapped.mapped_record().size(), text.size());
 
+  // The record accessors answer the same for both loaders.
+  for (const engine::Corpus* corpus : {&mapped, &decoded}) {
+    EXPECT_EQ(corpus->record_size(0), static_cast<int64_t>(text.size()));
+    EXPECT_EQ(corpus->record_bytes(0), text);
+  }
+
   // The streaming fingerprint equals the decoded-path fingerprint, so
   // cache entries are shared across loaders.
-  EXPECT_EQ(mapped.mapped_fingerprint(),
+  EXPECT_EQ(mapped.fingerprint(0),
             engine::FingerprintSequence(decoded.sequence(0)));
+  EXPECT_EQ(decoded.fingerprint(0), mapped.fingerprint(0));
 
   // Chunk-streamed PrefixCounts equals the in-RAM build.
-  ASSERT_OK_AND_ASSIGN(seq::PrefixCounts streamed,
-                       mapped.BuildMappedPrefixCounts());
-  seq::PrefixCounts reference(decoded.sequence(0));
+  seq::PrefixCounts streamed = mapped.BuildPrefixCounts(0);
+  seq::PrefixCounts reference = decoded.BuildPrefixCounts(0);
   ASSERT_EQ(streamed.sequence_size(), reference.sequence_size());
   for (int64_t pos = 0; pos <= reference.sequence_size(); ++pos) {
     for (int c = 0; c < streamed.alphabet_size(); ++c) {
@@ -143,7 +151,30 @@ TEST_F(MmapCorpusTest, MappedCorpusMatchesTextLoader) {
     }
   }
 
-  EXPECT_FALSE(decoded.BuildMappedPrefixCounts().ok());
+  // The suffix index over the mapped bytes scans like the decoded one.
+  ASSERT_OK_AND_ASSIGN(core::SuffixScan mapped_scan, mapped.BuildSuffixScan(0));
+  ASSERT_OK_AND_ASSIGN(core::SuffixScan decoded_scan,
+                       decoded.BuildSuffixScan(0));
+  const int k = decoded.alphabet().size();
+  ASSERT_OK_AND_ASSIGN(
+      core::ChiSquareContext context,
+      core::ChiSquareContext::Make(std::vector<double>(k, 1.0 / k)));
+  core::SuffixScanOptions options;
+  options.top_n = 0;
+  ASSERT_OK_AND_ASSIGN(core::SuffixScanResult from_mapped,
+                       mapped_scan.Scan(context, options));
+  ASSERT_OK_AND_ASSIGN(core::SuffixScanResult from_decoded,
+                       decoded_scan.Scan(context, options));
+  EXPECT_GT(from_decoded.match_count, 0);
+  EXPECT_EQ(from_mapped.match_count, from_decoded.match_count);
+  ASSERT_EQ(from_mapped.classes.size(), from_decoded.classes.size());
+  for (size_t i = 0; i < from_mapped.classes.size(); ++i) {
+    EXPECT_EQ(from_mapped.classes[i].substring.start,
+              from_decoded.classes[i].substring.start);
+    EXPECT_EQ(from_mapped.classes[i].substring.end,
+              from_decoded.classes[i].substring.end);
+    EXPECT_EQ(from_mapped.classes[i].count, from_decoded.classes[i].count);
+  }
 }
 
 TEST_F(MmapCorpusTest, StripsFramingBytes) {

@@ -194,6 +194,26 @@ TEST(ServerTest, ProtocolAndValidationErrors) {
   EXPECT_GE(server.stats().protocol_errors, 1);
 }
 
+TEST(ServerTest, StreamCreateRefusesAnOversizedWindow) {
+  // The detector's byte ring is max_window + 1 bytes: one request must not
+  // be able to ask for 100 GB. The bound lives in StreamingDetector::Make.
+  Server server(TestCorpus(), ServerOptions{});
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(LineClient client, ConnectTo(server));
+
+  ASSERT_OK(client.SendLine(
+      "STREAM.CREATE s probs=0.5;0.5 max_window=100000000000"));
+  ASSERT_OK_AND_ASSIGN(std::string refused, client.ReadLine());
+  EXPECT_TRUE(StartsWith(refused, "ERR EINVALID ")) << refused;
+  EXPECT_NE(refused.find("max_window"), std::string::npos) << refused;
+
+  // The name stays free, and a window at the bound's scale of a sane
+  // request is created.
+  ASSERT_OK(client.SendLine("STREAM.CREATE s probs=0.5;0.5 max_window=64"));
+  ASSERT_OK_AND_ASSIGN(std::string created, client.ReadLine());
+  EXPECT_EQ(created, "OK created s");
+}
+
 TEST(ServerTest, BadQueryInSliceDoesNotFailNeighbors) {
   // Both queries land in one executor slice; batch validation fails the
   // whole batch by engine contract, so the server must fall back to
