@@ -2,9 +2,10 @@
 // library; not a paper table/figure):
 //   (1) Markov-null scoring — transition anomalies invisible to the
 //       multinomial statistic;
-//   (2) two-dimensional MSS — planted-rectangle recovery and the column
-//       skip's work savings;
-//   (3) windowed (length-bounded) MSS — scan cost vs window size.
+//   (2) windowed (length-bounded) MSS — scan cost vs window size.
+//
+// Gate: the windowed scan with w = n must reproduce core::FindMss's X²max
+// bit for bit; the bench exits non-zero otherwise.
 
 #include <cstdio>
 #include <vector>
@@ -15,7 +16,7 @@
 
 int main() {
   using namespace sigsub;
-  bench::PrintHeader("Extensions — Markov null, 2-D grids, windowed MSS",
+  bench::PrintHeader("Extensions — Markov null, windowed MSS",
                      "paper §8 future-work directions implemented as "
                      "library extensions");
 
@@ -53,52 +54,7 @@ int main() {
                 "multinomial statistic is nearly blind to it)\n");
   }
 
-  // --- (2) 2-D MSS: recovery and work vs naive enumeration. ---
-  {
-    const int64_t rows = bench::FastMode() ? 24 : 48;
-    const int64_t cols = bench::FastMode() ? 60 : 160;
-    seq::Rng rng(82);
-    auto model = seq::MultinomialModel::Uniform(2);
-    auto grid = seq::Grid::GenerateWithPlantedRect(
-        model, rows, cols, rows / 4, rows / 2, cols / 4, cols / 2,
-        {0.9, 0.1}, rng);
-    core::Mss2dResult fast;
-    double fast_ms = bench::TimeMs([&] {
-      fast = core::FindMss2d(grid.value(), model).value();
-    });
-    core::Mss2dResult naive;
-    double naive_ms = bench::TimeMs([&] {
-      naive = core::NaiveFindMss2d(grid.value(), model).value();
-    });
-    std::printf("\n(2) %lldx%lld grid, planted rect [%lld,%lld)x[%lld,%lld):\n",
-                static_cast<long long>(rows), static_cast<long long>(cols),
-                static_cast<long long>(rows / 4),
-                static_cast<long long>(rows / 2),
-                static_cast<long long>(cols / 4),
-                static_cast<long long>(cols / 2));
-    io::TableWriter table(
-        {"method", "X2max", "rect", "rect evals", "time"});
-    auto rect_str = [](const core::Rectangle& r) {
-      return StrFormat("[%lld,%lld)x[%lld,%lld)",
-                       static_cast<long long>(r.row0),
-                       static_cast<long long>(r.row1),
-                       static_cast<long long>(r.col0),
-                       static_cast<long long>(r.col1));
-    };
-    table.AddRow({"skip-scan", StrFormat("%.2f", fast.best.chi_square),
-                  rect_str(fast.best),
-                  std::to_string(fast.stats.positions_examined),
-                  bench::FormatMs(fast_ms)});
-    table.AddRow({"naive", StrFormat("%.2f", naive.best.chi_square),
-                  rect_str(naive.best),
-                  std::to_string(naive.stats.positions_examined),
-                  bench::FormatMs(naive_ms)});
-    std::printf("%s", table.Render().c_str());
-    std::printf("(expected: identical X2max; skip-scan evaluates a small "
-                "fraction of the rectangles)\n");
-  }
-
-  // --- (3) Windowed MSS: work vs window size. ---
+  // --- (2) Windowed MSS: work vs window size. ---
   {
     const int64_t n = bench::FastMode() ? 20000 : 100000;
     seq::Rng rng(83);
@@ -106,18 +62,26 @@ int main() {
     auto model = seq::MultinomialModel::Uniform(2);
     seq::PrefixCounts counts(s);
     core::ChiSquareContext ctx(model);
-    std::printf("\n(3) windowed MSS on a null string (n = %lld):\n",
+    std::printf("\n(2) windowed MSS on a null string (n = %lld):\n",
                 static_cast<long long>(n));
     io::TableWriter table({"max window w", "examined", "X2max"});
+    double unbounded_x2 = 0.0;
     for (int64_t w : std::vector<int64_t>{16, 64, 256, 1024, 4096, n}) {
       auto result = core::FindMssLengthBounded(counts, ctx, 1, w);
       table.AddRow({std::to_string(w),
                     std::to_string(result.stats.positions_examined),
                     StrFormat("%.2f", result.best.chi_square)});
+      if (w == n) unbounded_x2 = result.best.chi_square;
     }
     std::printf("%s", table.Render().c_str());
     std::printf("(expected: work grows sub-linearly in w once skips "
                 "activate; X2max saturates at the unconstrained value)\n");
+    const double mss_x2 = core::FindMss(counts, ctx).best.chi_square;
+    const bool gate_ok = unbounded_x2 == mss_x2;
+    std::printf("gate: w = n X2max %.17g %s FindMss X2max %.17g: %s\n",
+                unbounded_x2, gate_ok ? "==" : "!=", mss_x2,
+                gate_ok ? "pass" : "FAIL");
+    if (!gate_ok) return 1;
   }
   return 0;
 }

@@ -65,10 +65,7 @@ class SkipSolver {
   /// Fused form: reads Y_c = end_block[c] − start_block[c] straight from
   /// two position-major PrefixCounts blocks (seq::PrefixCounts::BlockAt),
   /// so scanners need no materialized count vector. Identical results to
-  /// the span overload for identical counts. (The 2-D scan instead gathers
-  /// its rectangle counts once via X2Kernel::EvaluateRect's counts_out and
-  /// uses the span overload — a rect gather is 4 plane lookups per symbol,
-  /// too expensive to repeat per consumer.)
+  /// the span overload for identical counts.
   int64_t MaxSafeExtension(const int64_t* start_block,
                            const int64_t* end_block, int64_t l, double x2_l,
                            double budget) const;

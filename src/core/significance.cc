@@ -36,11 +36,5 @@ Result<ScoredSubstring> ScoreSubstring(const seq::Sequence& sequence,
   return out;
 }
 
-Result<ScoredSubstring> ScoreResult(const seq::Sequence& sequence,
-                                    const seq::MultinomialModel& model,
-                                    const MssResult& result) {
-  return ScoreSubstring(sequence, model, result.best.start, result.best.end);
-}
-
 }  // namespace core
 }  // namespace sigsub

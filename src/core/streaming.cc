@@ -107,7 +107,7 @@ std::optional<StreamingDetector::Alarm> StreamingDetector::Append(
     uint8_t symbol) {
   // Checked in every build mode: an out-of-range symbol would otherwise
   // be an out-of-bounds counter write in release builds. Untrusted
-  // streams should use TryAppend, which reports instead of aborting.
+  // streams should use TryAppendChunk, which reports instead of aborting.
   SIGSUB_CHECK_MSG(symbol < context_->alphabet_size(),
                    "symbol %d out of range for alphabet size %d",
                    static_cast<int>(symbol), context_->alphabet_size());
@@ -138,16 +138,6 @@ std::optional<StreamingDetector::Alarm> StreamingDetector::Append(
     }
   }
   return strongest;
-}
-
-Result<std::optional<StreamingDetector::Alarm>> StreamingDetector::TryAppend(
-    uint8_t symbol) {
-  if (symbol >= context_->alphabet_size()) {
-    return Status::InvalidArgument(
-        StrCat("symbol ", static_cast<int>(symbol),
-               " out of range for alphabet size ", context_->alphabet_size()));
-  }
-  return Append(symbol);
 }
 
 std::vector<StreamingDetector::Alarm> StreamingDetector::AppendChunk(

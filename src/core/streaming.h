@@ -145,11 +145,6 @@ class StreamingDetector {
   /// alphabet.
   std::optional<Alarm> Append(uint8_t symbol);
 
-  /// Append for untrusted streams: an out-of-range symbol returns
-  /// InvalidArgument (the detector state is unchanged) instead of
-  /// aborting.
-  Result<std::optional<Alarm>> TryAppend(uint8_t symbol);
-
   /// Feeds a chunk of symbols and returns every alarm raised inside it,
   /// ordered by (end, length). Equivalent to feeding the symbols through
   /// Append one at a time: the same counter state and hysteresis order,

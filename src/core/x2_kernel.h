@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "core/chi_square.h"
 #include "core/x2_dispatch.h"
-#include "seq/grid.h"
 #include "seq/prefix_counts.h"
 
 namespace sigsub {
@@ -34,7 +33,7 @@ namespace core {
 /// Scratch-buffer convention: scanner kernels must not allocate per-call
 /// heap scratch on their hot paths. Count vectors are never materialized —
 /// evaluation goes through this kernel and skip solving through the
-/// SkipSolver block/rect overloads, both reading prefix blocks directly.
+/// SkipSolver block overload, both reading prefix blocks directly.
 /// Where a scan genuinely needs an output-sized buffer (e.g. the batched
 /// EvaluateEnds below), the buffer is owned by the caller and reused
 /// across the scan, sized once up front — never reallocated per position.
@@ -103,47 +102,6 @@ class X2Kernel {
                       : fn_(lo, counts.BlockAt(ends[i]), inv_probs_, k_,
                             static_cast<double>(l));
     }
-  }
-
-  /// X² of the rectangle [r0, r1) × [c0, c1) of a grid, fused over the
-  /// per-symbol planes (no scratch). The grid layout is plane-per-symbol,
-  /// so this is always the scalar reduction; it exists so the 2-D scan
-  /// follows the same no-scratch convention as the 1-D scans.
-  double EvaluateRect(const seq::GridPrefixCounts& counts, int64_t r0,
-                      int64_t r1, int64_t c0, int64_t c1) const {
-    SIGSUB_DCHECK(counts.alphabet_size() == k_);
-    int64_t l = (r1 - r0) * (c1 - c0);
-    if (l == 0) return 0.0;
-    double sum = 0.0;
-    for (int c = 0; c < k_; ++c) {
-      double y = static_cast<double>(counts.CountInRect(c, r0, r1, c0, c1));
-      sum += y * y * inv_probs_[c];
-    }
-    double dl = static_cast<double>(l);
-    return sum / dl - dl;
-  }
-
-  /// As above, but also stores the gathered count vector into the
-  /// caller-owned `counts_out` (size k; see the scratch convention above)
-  /// in the same pass. For scans that feed the counts to the SkipSolver
-  /// afterwards: the 4-lookup-per-symbol rectangle gather happens once
-  /// per candidate instead of once per consumer.
-  double EvaluateRect(const seq::GridPrefixCounts& counts, int64_t r0,
-                      int64_t r1, int64_t c0, int64_t c1,
-                      std::span<int64_t> counts_out) const {
-    SIGSUB_DCHECK(counts.alphabet_size() == k_);
-    SIGSUB_DCHECK(static_cast<int>(counts_out.size()) == k_);
-    int64_t l = (r1 - r0) * (c1 - c0);
-    double sum = 0.0;
-    for (int c = 0; c < k_; ++c) {
-      int64_t y = counts.CountInRect(c, r0, r1, c0, c1);
-      counts_out[c] = y;
-      double dy = static_cast<double>(y);
-      sum += dy * dy * inv_probs_[c];
-    }
-    if (l == 0) return 0.0;
-    double dl = static_cast<double>(l);
-    return sum / dl - dl;
   }
 
   /// True when the resolved implementation is the SIMD path.

@@ -1,17 +1,9 @@
 #include "io/string_codec.h"
 
 #include "common/str_util.h"
-#include "seq/alphabet.h"
 
 namespace sigsub {
 namespace io {
-
-seq::Sequence BinaryFromBools(const std::vector<bool>& values) {
-  seq::Sequence out(2);
-  out.Reserve(static_cast<int64_t>(values.size()));
-  for (bool v : values) out.Append(v ? 1 : 0);
-  return out;
-}
 
 Result<seq::Sequence> UpDownFromLevels(const std::vector<double>& levels) {
   if (levels.size() < 2) {
@@ -33,10 +25,6 @@ std::string FormatPercent(double fraction, int decimals) {
 
 std::string FormatSignedPercent(double fraction, int decimals) {
   return StrFormat("%+.*f%%", decimals, fraction * 100.0);
-}
-
-Result<seq::Sequence> ParseBinaryString(const std::string& text) {
-  return seq::Sequence::FromString(seq::Alphabet::Binary(), text);
 }
 
 }  // namespace io

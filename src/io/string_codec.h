@@ -1,7 +1,6 @@
 #ifndef SIGSUB_IO_STRING_CODEC_H_
 #define SIGSUB_IO_STRING_CODEC_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,12 +10,8 @@
 namespace sigsub {
 namespace io {
 
-/// Encoders that turn application data into the binary strings the paper
-/// analyzes (wins/losses, up/down days), plus small formatting helpers for
-/// the table benches.
-
-/// Binary sequence from a boolean series (true -> symbol 1).
-seq::Sequence BinaryFromBools(const std::vector<bool>& values);
+/// The encoder that turns a price series into the binary up/down strings the
+/// paper analyzes, plus small formatting helpers for the table benches.
 
 /// Binary sequence from the signs of consecutive differences: symbol 1
 /// where series[i+1] > series[i], else 0. Output has size() - 1 elements;
@@ -29,9 +24,6 @@ std::string FormatPercent(double fraction, int decimals = 2);
 
 /// "+68.10%" / "-41.27%" (signed), for change columns.
 std::string FormatSignedPercent(double fraction, int decimals = 2);
-
-/// Parses a binary string of '0'/'1' characters.
-Result<seq::Sequence> ParseBinaryString(const std::string& text);
 
 }  // namespace io
 }  // namespace sigsub

@@ -18,7 +18,7 @@ uint64_t RotL(uint64_t x, int s) { return (x << s) | (x >> (64 - s)); }
 
 }  // namespace
 
-Rng::Rng(uint64_t seed) : seed_(seed) {
+Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
   // xoshiro must not start at the all-zero state.
@@ -56,13 +56,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
 bool Rng::NextBernoulli(double p) {
   SIGSUB_DCHECK(p >= 0.0 && p <= 1.0);
   return NextDouble() < p;
-}
-
-Rng Rng::Split() {
-  ++split_counter_;
-  uint64_t child_seed = seed_ ^ (0xA5A5A5A55A5A5A5AULL * split_counter_);
-  child_seed ^= NextUint64();
-  return Rng(child_seed);
 }
 
 }  // namespace seq

@@ -51,7 +51,6 @@
 #include "core/markov_scan.h"
 #include "core/min_length.h"
 #include "core/mss.h"
-#include "core/mss_2d.h"
 #include "core/naive.h"
 #include "core/parallel.h"
 #include "core/scan_types.h"
@@ -84,18 +83,14 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "seq/generators.h"
-#include "seq/grid.h"
 #include "seq/model.h"
 #include "seq/prefix_counts.h"
 #include "seq/rng.h"
 #include "seq/sequence.h"
-#include "stats/beta.h"
-#include "stats/binomial.h"
 #include "stats/chi_squared.h"
 #include "stats/count_statistics.h"
 #include "stats/descriptive.h"
 #include "stats/exact_multinomial.h"
 #include "stats/gamma.h"
-#include "stats/normal.h"
 
 #endif  // SIGSUB_SIGSUB_H_

@@ -55,21 +55,5 @@ LinearFit FitLine(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-double PearsonCorrelation(std::span<const double> xs,
-                          std::span<const double> ys) {
-  SIGSUB_CHECK(xs.size() == ys.size());
-  SIGSUB_CHECK(xs.size() >= 2);
-  double mx = Mean(xs);
-  double my = Mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  SIGSUB_CHECK(sxx > 0.0 && syy > 0.0);
-  return sxy / std::sqrt(sxx * syy);
-}
-
 }  // namespace stats
 }  // namespace sigsub

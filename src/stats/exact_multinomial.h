@@ -14,9 +14,10 @@ namespace stats {
 /// configurations at least as extreme as the observed one, where "extreme"
 /// is ordered by the X² statistic. Enumerating all C(l+k-1, k-1)
 /// configurations is exponential in general (which is precisely why the
-/// paper adopts the asymptotic χ² approximation); this module exists so
-/// tests can validate the approximation's direction and accuracy in the
-/// small-(l, k) regime.
+/// paper adopts the asymptotic χ² approximation). No query path calls this
+/// module: it is kept as the exact reference for that approximation, so
+/// tests can check the direction and accuracy of the live p-value
+/// (core::SubstringPValue) in the small-(l, k) regime.
 
 /// ln P(C = β) for a configuration β = {Y_1..Y_k}: l! Π p_i^{Y_i} / Y_i!
 /// (paper Eq. 1).

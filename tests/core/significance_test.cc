@@ -50,13 +50,13 @@ TEST(ScoreSubstringTest, ValidatesBounds) {
       ScoreSubstring(s, wrong_model, 0, 5).status().IsInvalidArgument());
 }
 
-TEST(ScoreResultTest, AnnotatesMss) {
+TEST(ScoreSubstringTest, AnnotatesMss) {
   seq::Rng rng(2);
   seq::Sequence s = seq::GenerateNull(2, 500, rng);
   auto model = seq::MultinomialModel::Uniform(2);
   auto mss = FindMss(s, model);
   ASSERT_TRUE(mss.ok());
-  auto scored = ScoreResult(s, model, mss.value());
+  auto scored = ScoreSubstring(s, model, mss->best.start, mss->best.end);
   ASSERT_TRUE(scored.ok());
   EXPECT_X2_EQ(scored->substring.chi_square, mss->best.chi_square);
   EXPECT_GT(scored->p_value, 0.0);

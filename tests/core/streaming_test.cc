@@ -357,17 +357,6 @@ TEST(StreamingDetectorTest, AppendChunkOrdersAlarmsByStreamPosition) {
   }
 }
 
-TEST(StreamingDetectorTest, TryAppendRejectsOutOfRangeSymbol) {
-  auto model = seq::MultinomialModel::Uniform(2);
-  auto detector = StreamingDetector::Make(model, {}).value();
-  auto bad = detector.TryAppend(2);
-  ASSERT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_EQ(detector.position(), 0);  // State untouched by the rejection.
-  auto good = detector.TryAppend(1);
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(detector.position(), 1);
-}
-
 TEST(StreamingDetectorTest, TryAppendChunkRejectsWithoutStateChange) {
   auto model = seq::MultinomialModel::Uniform(2);
   auto detector = StreamingDetector::Make(model, {}).value();
@@ -379,6 +368,14 @@ TEST(StreamingDetectorTest, TryAppendChunkRejectsWithoutStateChange) {
   auto rejected = detector.TryAppendChunk(bad);
   ASSERT_TRUE(rejected.status().IsInvalidArgument());
   EXPECT_EQ(detector.position(), 4);
+  // A one-symbol chunk just past the alphabet is rejected the same way.
+  std::vector<uint8_t> one_bad{2};
+  ASSERT_TRUE(detector.TryAppendChunk(one_bad).status().IsInvalidArgument());
+  EXPECT_EQ(detector.position(), 4);
+  // A rejection leaves the detector usable: the next valid chunk applies.
+  std::vector<uint8_t> one_good{1};
+  ASSERT_TRUE(detector.TryAppendChunk(one_good).ok());
+  EXPECT_EQ(detector.position(), 5);
 }
 
 TEST(StreamingDetectorTest, SharedContextMakeMatchesModelMake) {

@@ -6,8 +6,7 @@
 //     relative and selects the same argmax over exhaustive scans of
 //     adversarial near-tie sequences;
 //   * both agree with a naive O(l) recount of the substring;
-//   * the batched EvaluateEnds and grid EvaluateRect forms match their
-//     one-shot counterparts;
+//   * the batched EvaluateEnds form matches its one-shot counterpart;
 //   * the SkipSolver block overload reproduces the span overload.
 
 #include "core/x2_kernel.h"
@@ -195,27 +194,6 @@ TEST(X2KernelTest, EvaluateEndsMatchesEvaluateRange) {
       EXPECT_EQ(out[i], kernel.EvaluateRange(counts, 10, ends[i]));
     }
     EXPECT_EQ(out[0], 0.0);  // ends[0] == start.
-  }
-}
-
-TEST(X2KernelTest, EvaluateRectMatchesGridLegacyPair) {
-  seq::Rng rng(77);
-  auto model = seq::MultinomialModel::Uniform(4);
-  seq::Grid grid = seq::Grid::GenerateNull(model, 12, 17, rng);
-  seq::GridPrefixCounts counts(grid);
-  ChiSquareContext ctx(model, X2Dispatch::kScalar);
-  X2Kernel kernel(ctx, X2Dispatch::kScalar);
-  std::vector<int64_t> scratch(4);
-  for (int64_t r0 = 0; r0 < grid.rows(); r0 += 3) {
-    for (int64_t r1 = r0 + 1; r1 <= grid.rows(); r1 += 2) {
-      for (int64_t c0 = 0; c0 < grid.cols(); c0 += 3) {
-        for (int64_t c1 = c0 + 1; c1 <= grid.cols(); c1 += 2) {
-          counts.FillCounts(r0, r1, c0, c1, scratch);
-          double legacy = ctx.Evaluate(scratch, (r1 - r0) * (c1 - c0));
-          EXPECT_EQ(legacy, kernel.EvaluateRect(counts, r0, r1, c0, c1));
-        }
-      }
-    }
   }
 }
 

@@ -143,7 +143,8 @@ TEST(PipelineTest, PValueAnnotationFlagsPlantedAnomalyOnly) {
   auto model = seq::MultinomialModel::Uniform(2);
   auto mss = core::FindMss(s.value(), model);
   ASSERT_TRUE(mss.ok());
-  auto scored = core::ScoreResult(s.value(), model, mss.value());
+  auto scored = core::ScoreSubstring(s.value(), model, mss->best.start,
+                                     mss->best.end);
   ASSERT_TRUE(scored.ok());
   // The planted window is a ~10-sigma event; p-value must be tiny.
   EXPECT_LT(scored->p_value, 1e-12);

@@ -74,27 +74,6 @@ TEST(RngTest, NextBernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(heads) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, SplitProducesIndependentStreams) {
-  Rng parent(23);
-  Rng child1 = parent.Split();
-  Rng child2 = parent.Split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (child1.NextUint64() == child2.NextUint64()) ++equal;
-  }
-  EXPECT_LE(equal, 1);
-}
-
-TEST(RngTest, SplitIsDeterministic) {
-  Rng a(31);
-  Rng b(31);
-  Rng ca = a.Split();
-  Rng cb = b.Split();
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(ca.NextUint64(), cb.NextUint64());
-  }
-}
-
 }  // namespace
 }  // namespace seq
 }  // namespace sigsub

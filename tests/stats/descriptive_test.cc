@@ -56,21 +56,6 @@ TEST(FitLineTest, LogLogPowerLaw) {
   EXPECT_NEAR(fit.slope, 1.5, 1e-9);
 }
 
-TEST(PearsonCorrelationTest, PerfectAndAnti) {
-  std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  std::vector<double> up{2.0, 4.0, 6.0, 8.0};
-  std::vector<double> down{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(PearsonCorrelation(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(xs, down), -1.0, 1e-12);
-}
-
-TEST(PearsonCorrelationTest, SymmetricInArguments) {
-  std::vector<double> xs{1.0, 5.0, 2.0, 8.0, 3.0};
-  std::vector<double> ys{2.0, 3.0, 9.0, 1.0, 4.0};
-  EXPECT_NEAR(PearsonCorrelation(xs, ys), PearsonCorrelation(ys, xs), 1e-14);
-  EXPECT_LE(std::fabs(PearsonCorrelation(xs, ys)), 1.0);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace sigsub

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/significance.h"
 #include "gtest/gtest.h"
 #include "stats/count_statistics.h"
 
@@ -67,33 +68,56 @@ TEST(ExactPValueTest, MostLikelyOutcomeHasLargePValue) {
   EXPECT_NEAR(p.value(), 1.0, 1e-12);
 }
 
+// One observed configuration with its null probabilities. The asymptotic
+// side of each comparison is core::SubstringPValue, the p-value the query
+// reports print.
+struct PValueCase {
+  std::vector<int64_t> observed;
+  std::vector<double> probs;
+};
+
 TEST(ExactPValueTest, AgreesWithChiSquareAsymptoticsAtModerateSize) {
-  // With l = 60 the χ²(1) approximation should be within a few 10% of the
-  // exact tail for a moderate deviation.
-  std::vector<int64_t> observed{38, 22};
-  std::vector<double> probs{0.5, 0.5};
-  auto exact = ExactMultinomialPValue(observed, probs);
-  ASSERT_TRUE(exact.ok());
-  double x2 = PearsonChiSquare(observed, probs);
-  double asymptotic = ChiSquarePValue(x2, 2);
-  EXPECT_GT(exact.value(), 0.0);
-  EXPECT_LT(std::fabs(exact.value() - asymptotic) / asymptotic, 0.35);
+  // With l = 60 the χ²(k−1) approximation should be within a few 10% of
+  // the exact tail for a moderate deviation: binary, and the uniform k = 4
+  // alphabet of the DNA-style workloads.
+  const std::vector<PValueCase> cases = {
+      {{38, 22}, {0.5, 0.5}},
+      {{23, 16, 11, 10}, {0.25, 0.25, 0.25, 0.25}},
+  };
+  for (const PValueCase& c : cases) {
+    auto exact = ExactMultinomialPValue(c.observed, c.probs);
+    ASSERT_TRUE(exact.ok());
+    double x2 = PearsonChiSquare(c.observed, c.probs);
+    double asymptotic =
+        core::SubstringPValue(x2, static_cast<int>(c.probs.size()));
+    EXPECT_GT(exact.value(), 0.0) << c.probs.size();
+    EXPECT_LT(std::fabs(exact.value() - asymptotic) / asymptotic, 0.35)
+        << c.probs.size();
+  }
 }
 
 TEST(ExactPValueTest, ChiSquareApproximationConvergesFromBelow) {
   // Paper Section 1: the X² statistic converges to χ² from below, so the
-  // asymptotic p-value should (for these balanced-ish binary cases) be
-  // conservative relative to exact enumeration.
-  std::vector<double> probs{0.5, 0.5};
-  for (int64_t heads : {14, 15, 16}) {
-    std::vector<int64_t> observed{heads, 20 - heads};
-    auto exact = ExactMultinomialPValue(observed, probs);
+  // asymptotic p-value should (for these balanced-ish l = 20 cases, binary
+  // and uniform k = 4) be conservative relative to exact enumeration.
+  const std::vector<double> binary{0.5, 0.5};
+  const std::vector<double> uniform4{0.25, 0.25, 0.25, 0.25};
+  const std::vector<PValueCase> cases = {
+      {{14, 6}, binary},
+      {{15, 5}, binary},
+      {{16, 4}, binary},
+      {{9, 5, 3, 3}, uniform4},
+      {{10, 4, 3, 3}, uniform4},
+      {{11, 3, 3, 3}, uniform4},
+  };
+  for (const PValueCase& c : cases) {
+    auto exact = ExactMultinomialPValue(c.observed, c.probs);
     ASSERT_TRUE(exact.ok());
-    double x2 = PearsonChiSquare(observed, probs);
-    double asym = ChiSquarePValue(x2, 2);
+    double x2 = PearsonChiSquare(c.observed, c.probs);
+    double asym = core::SubstringPValue(x2, static_cast<int>(c.probs.size()));
     // Exact discrete tail is within a factor ~2 of the asymptotic value.
-    EXPECT_LT(exact.value(), 2.0 * asym + 1e-9) << heads;
-    EXPECT_GT(exact.value(), 0.2 * asym) << heads;
+    EXPECT_LT(exact.value(), 2.0 * asym + 1e-9) << c.observed[0];
+    EXPECT_GT(exact.value(), 0.2 * asym) << c.observed[0];
   }
 }
 
