@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "common/fnv1a.h"
@@ -15,9 +14,12 @@ namespace sigsub {
 namespace engine {
 namespace {
 
-std::string StripTrailingCr(std::string line) {
-  while (!line.empty() && line.back() == '\r') line.pop_back();
-  return line;
+void StripTrailingCr(std::string* line) {
+  while (!line->empty() && line->back() == '\r') line->pop_back();
+}
+
+std::span<const uint8_t> AsBytes(std::string_view text) {
+  return {reinterpret_cast<const uint8_t*>(text.data()), text.size()};
 }
 
 /// Strips a leading UTF-8 byte-order mark. Editors on Windows routinely
@@ -41,27 +43,30 @@ Corpus::Corpus(seq::Alphabet alphabet, std::vector<seq::Sequence> sequences,
       texts_(std::move(texts)),
       source_indices_(std::move(source_indices)) {}
 
-Result<Corpus> Corpus::FromStrings(const std::vector<std::string>& records,
+Result<Corpus> Corpus::FromStrings(std::vector<std::string> records,
                                    const std::string& alphabet_chars) {
-  std::vector<std::string> texts;
+  // Compact the non-empty records to the front; each keeps its index in
+  // the caller's input.
   std::vector<int64_t> source_indices;
-  texts.reserve(records.size());
+  size_t kept = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     if (records[i].empty()) continue;
-    texts.push_back(records[i]);
+    if (kept != i) records[kept] = std::move(records[i]);
+    ++kept;
     source_indices.push_back(static_cast<int64_t>(i));
   }
-  if (texts.empty()) {
+  records.resize(kept);
+  if (records.empty()) {
     return Status::InvalidArgument("corpus has no non-empty records");
   }
   std::string chars =
-      alphabet_chars.empty() ? InferAlphabetChars(texts) : alphabet_chars;
+      alphabet_chars.empty() ? InferAlphabetChars(records) : alphabet_chars;
   SIGSUB_ASSIGN_OR_RETURN(seq::Alphabet alphabet,
                           seq::Alphabet::FromCharacters(chars));
   std::vector<seq::Sequence> sequences;
-  sequences.reserve(texts.size());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    auto sequence = seq::Sequence::FromString(alphabet, texts[i]);
+  sequences.reserve(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    auto sequence = seq::Sequence::FromString(alphabet, records[i]);
     if (!sequence.ok()) {
       // Cite the record's position in the caller's input, not the
       // post-skip index.
@@ -71,7 +76,7 @@ Result<Corpus> Corpus::FromStrings(const std::vector<std::string>& records,
     }
     sequences.push_back(std::move(sequence).value());
   }
-  return Corpus(std::move(alphabet), std::move(sequences), std::move(texts),
+  return Corpus(std::move(alphabet), std::move(sequences), std::move(records),
                 std::move(source_indices));
 }
 
@@ -85,9 +90,16 @@ Result<Corpus> Corpus::FromLines(const std::string& path,
   std::string line;
   while (std::getline(in, line)) {
     if (records.empty()) StripUtf8Bom(&line);
-    records.push_back(StripTrailingCr(std::move(line)));
+    StripTrailingCr(&line);
+    // A copy sized to the line; `line` keeps its buffer for the next one.
+    records.emplace_back(line);
   }
-  return FromStrings(records, alphabet_chars);
+  // A path that opens but cannot be read (a directory, an I/O error)
+  // sets badbit; without this check it would load as an empty corpus.
+  if (in.bad()) {
+    return Status::IOError(StrCat("cannot read '", path, "'"));
+  }
+  return FromStrings(std::move(records), alphabet_chars);
 }
 
 Result<Corpus> Corpus::FromCsvColumn(const std::string& path, int64_t column,
@@ -111,7 +123,7 @@ Result<Corpus> Corpus::FromCsvColumn(const std::string& path, int64_t column,
     }
     records.push_back(rows[r][static_cast<size_t>(column)]);
   }
-  return FromStrings(records, alphabet_chars);
+  return FromStrings(std::move(records), alphabet_chars);
 }
 
 Result<Corpus> Corpus::FromMappedFile(const std::string& path,
@@ -208,13 +220,11 @@ Result<core::SuffixScan> Corpus::BuildSuffixScan(int64_t index) const {
 
 std::string Corpus::InferAlphabetChars(
     const std::vector<std::string>& records) {
-  std::set<char> distinct;
+  io::BytePresence present{};
   for (const std::string& record : records) {
-    distinct.insert(record.begin(), record.end());
+    io::MarkPresentBytes(AsBytes(record), &present);
   }
-  std::string chars(distinct.begin(), distinct.end());
-  if (chars.size() == 1) chars += chars[0] == '0' ? '1' : '0';
-  return chars;
+  return io::AlphabetFromPresence(present);
 }
 
 }  // namespace engine

@@ -32,11 +32,13 @@ namespace engine {
 /// the corpus is unary, as X² needs k >= 2).
 class Corpus {
  public:
-  /// Builds from in-memory records.
-  static Result<Corpus> FromStrings(const std::vector<std::string>& records,
+  /// Builds from in-memory records; the non-empty ones move into the
+  /// corpus's texts.
+  static Result<Corpus> FromStrings(std::vector<std::string> records,
                                     const std::string& alphabet_chars = "");
 
-  /// Reads `path`, one record per line ('\r' tolerated).
+  /// Reads `path`, one record per line ('\r' tolerated). IOError when
+  /// the file cannot be opened or read.
   static Result<Corpus> FromLines(const std::string& path,
                                   const std::string& alphabet_chars = "");
 
@@ -57,10 +59,11 @@ class Corpus {
   static Result<Corpus> FromMappedFile(const std::string& path,
                                        const std::string& alphabet_chars = "");
 
-  /// The alphabet-inference rule shared by Corpus and the single-string
-  /// CLI path: sorted distinct characters across all records, padded to
-  /// two symbols when unary (X² needs k >= 2). Records must not all be
-  /// empty.
+  /// The alphabet-inference rule shared by every loader and the
+  /// single-string CLI path (io::MarkPresentBytes over each record, then
+  /// io::AlphabetFromPresence): sorted distinct characters across all
+  /// records, padded to two symbols when unary (X² needs k >= 2). One
+  /// table store per byte. Records must not all be empty.
   static std::string InferAlphabetChars(
       const std::vector<std::string>& records);
 

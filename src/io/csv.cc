@@ -51,6 +51,11 @@ Result<std::vector<std::vector<std::string>>> ReadCsvFile(
     if (line.empty()) continue;
     rows.push_back(ParseCsvLine(line));
   }
+  // A path that opens but cannot be read (a directory, an I/O error)
+  // sets badbit; without this check it would read as an empty file.
+  if (in.bad()) {
+    return Status::IOError(StrCat("cannot read '", path, "'"));
+  }
   return rows;
 }
 

@@ -16,7 +16,8 @@ namespace io {
 /// Parses one CSV line into cells (RFC-4180-ish: double quotes escape).
 std::vector<std::string> ParseCsvLine(const std::string& line);
 
-/// Reads a whole CSV file into rows of cells.
+/// Reads a whole CSV file into rows of cells. IOError when the file
+/// cannot be opened or read.
 Result<std::vector<std::vector<std::string>>> ReadCsvFile(
     const std::string& path);
 

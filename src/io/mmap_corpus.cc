@@ -87,14 +87,14 @@ std::array<uint8_t, 256> MakeDecodeTable(std::string_view alphabet_chars) {
   return decode;
 }
 
-std::string InferAlphabetBytes(std::span<const uint8_t> bytes) {
-  std::array<bool, 256> present{};
+void MarkPresentBytes(std::span<const uint8_t> bytes, BytePresence* present) {
   for (size_t offset = 0; offset < bytes.size(); offset += kChunkBytes) {
     size_t end = std::min(bytes.size(), offset + kChunkBytes);
-    for (size_t i = offset; i < end; ++i) present[bytes[i]] = true;
+    for (size_t i = offset; i < end; ++i) (*present)[bytes[i]] = true;
   }
-  // Distinct bytes sorted in `char` order, to match the std::set<char>
-  // inference of engine::Corpus::InferAlphabetChars byte for byte.
+}
+
+std::string AlphabetFromPresence(const BytePresence& present) {
   std::string chars;
   for (int v = 0; v < 256; ++v) {
     if (present[v]) chars.push_back(static_cast<char>(v));
@@ -102,6 +102,12 @@ std::string InferAlphabetBytes(std::span<const uint8_t> bytes) {
   std::sort(chars.begin(), chars.end());
   if (chars.size() == 1) chars += chars[0] == '0' ? '1' : '0';
   return chars;
+}
+
+std::string InferAlphabetBytes(std::span<const uint8_t> bytes) {
+  BytePresence present{};
+  MarkPresentBytes(bytes, &present);
+  return AlphabetFromPresence(present);
 }
 
 int64_t FindInvalidByte(std::span<const uint8_t> bytes,

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "seq/alphabet.h"
 
 namespace sigsub {
 namespace io {
@@ -48,19 +49,29 @@ class MappedFile {
 
 /// Byte -> symbol translation table for mining mapped bytes in place:
 /// decode[b] is the symbol id of byte b, or kInvalidByte for bytes outside
-/// the alphabet. (Symbol ids are < 255 — seq::Alphabet caps k at 255 — so
-/// the sentinel never collides.)
-inline constexpr uint8_t kInvalidByte = 0xFF;
+/// the alphabet — the layout of seq::Alphabet::decode_table().
+inline constexpr uint8_t kInvalidByte = seq::Alphabet::kNoSymbol;
 
 /// Builds the decode table of an alphabet given as its character string
 /// (seq::Alphabet::characters() order: decode[chars[s]] = s).
 std::array<uint8_t, 256> MakeDecodeTable(std::string_view alphabet_chars);
 
-/// Scans `bytes` and reports the distinct byte values as a string sorted
-/// in `char` order — the same inference rule engine::Corpus uses for text
-/// corpora (including the pad-to-two-symbols rule for unary input), so a
-/// mapped record and the same bytes loaded through FromStrings infer the
-/// same alphabet. Streams in chunks; touches each page once.
+/// Alphabet inference, shared by every loader (engine::Corpus's text and
+/// mapped loaders, the CLI's --string path): mark the bytes each record
+/// holds in one table, then read the alphabet off the table.
+using BytePresence = std::array<bool, 256>;
+
+/// Sets present[b] for every byte b of `bytes`. Streams in chunks;
+/// touches each page once.
+void MarkPresentBytes(std::span<const uint8_t> bytes, BytePresence* present);
+
+/// The marked bytes as a string sorted in `char` order (signed on the
+/// usual targets: bytes >= 0x80 come first), padded to two symbols when
+/// only one is marked (X² needs k >= 2): '0' is appended, or '1' after a
+/// lone '0'. Empty when nothing is marked.
+std::string AlphabetFromPresence(const BytePresence& present);
+
+/// MarkPresentBytes then AlphabetFromPresence over one record.
 std::string InferAlphabetBytes(std::span<const uint8_t> bytes);
 
 /// Returns the offset of the first byte of `bytes` whose decode entry is

@@ -1,15 +1,18 @@
 #include "seq/alphabet.h"
 
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "common/str_util.h"
 
 namespace sigsub {
 namespace seq {
 
-Alphabet::Alphabet(std::string chars)
-    : chars_(std::move(chars)), lookup_(256, -1) {
+Alphabet::Alphabet(std::string chars) : chars_(std::move(chars)) {
+  decode_.fill(kNoSymbol);
   for (size_t i = 0; i < chars_.size(); ++i) {
-    lookup_[static_cast<uint8_t>(chars_[i])] = static_cast<int16_t>(i);
+    decode_[static_cast<uint8_t>(chars_[i])] = static_cast<Symbol>(i);
   }
 }
 
@@ -60,12 +63,12 @@ char Alphabet::CharOf(Symbol s) const {
 }
 
 Result<Symbol> Alphabet::SymbolOf(char c) const {
-  int16_t id = lookup_[static_cast<uint8_t>(c)];
-  if (id < 0) {
+  Symbol id = decode_[static_cast<uint8_t>(c)];
+  if (id == kNoSymbol) {
     return Status::NotFound(StrCat("character '", c, "' not in alphabet \"",
                                    chars_, "\""));
   }
-  return static_cast<Symbol>(id);
+  return id;
 }
 
 }  // namespace seq

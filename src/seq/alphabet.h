@@ -1,10 +1,10 @@
 #ifndef SIGSUB_SEQ_ALPHABET_H_
 #define SIGSUB_SEQ_ALPHABET_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -20,6 +20,10 @@ using Symbol = uint8_t;
 /// 255.
 class Alphabet {
  public:
+  /// decode_table() entry of a byte outside the alphabet. Symbol ids are
+  /// < 255 (k <= 255), so it never collides with one.
+  static constexpr Symbol kNoSymbol = 0xFF;
+
   /// Builds an alphabet from distinct printable characters, e.g. "ACGT".
   static Result<Alphabet> FromCharacters(std::string_view chars);
 
@@ -38,17 +42,23 @@ class Alphabet {
   /// Symbol id of character `c`; NotFound if absent.
   Result<Symbol> SymbolOf(char c) const;
 
-  bool Contains(char c) const { return lookup_[static_cast<uint8_t>(c)] >= 0; }
+  bool Contains(char c) const {
+    return decode_[static_cast<uint8_t>(c)] != kNoSymbol;
+  }
 
   /// All glyphs in symbol order.
   const std::string& characters() const { return chars_; }
+
+  /// Byte -> symbol table: decode_table()[b] is the symbol of byte b, or
+  /// kNoSymbol. Entry for entry the table io::MakeDecodeTable builds from
+  /// characters().
+  const std::array<Symbol, 256>& decode_table() const { return decode_; }
 
  private:
   explicit Alphabet(std::string chars);
 
   std::string chars_;
-  // lookup_[byte] = symbol id or -1.
-  std::vector<int16_t> lookup_;
+  std::array<Symbol, 256> decode_;
 };
 
 }  // namespace seq

@@ -1,5 +1,8 @@
 #include "seq/sequence.h"
 
+#include <array>
+#include <utility>
+
 #include "common/check.h"
 #include "common/str_util.h"
 
@@ -31,11 +34,13 @@ Result<Sequence> Sequence::FromSymbols(int alphabet_size,
 
 Result<Sequence> Sequence::FromString(const Alphabet& alphabet,
                                       std::string_view text) {
-  std::vector<uint8_t> symbols;
-  symbols.reserve(text.size());
+  const std::array<Symbol, 256>& decode = alphabet.decode_table();
+  std::vector<uint8_t> symbols(text.size());
   for (size_t i = 0; i < text.size(); ++i) {
-    SIGSUB_ASSIGN_OR_RETURN(Symbol s, alphabet.SymbolOf(text[i]));
-    symbols.push_back(s);
+    Symbol s = decode[static_cast<uint8_t>(text[i])];
+    // The error is built only for a byte outside the alphabet.
+    if (s == Alphabet::kNoSymbol) return alphabet.SymbolOf(text[i]).status();
+    symbols[i] = s;
   }
   return Sequence(alphabet.size(), std::move(symbols));
 }

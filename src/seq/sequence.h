@@ -24,7 +24,9 @@ class Sequence {
   static Result<Sequence> FromSymbols(int alphabet_size,
                                       std::vector<uint8_t> symbols);
 
-  /// Decodes a character string using `alphabet`.
+  /// Decodes a character string through `alphabet`'s decode_table(): one
+  /// table load per byte. NotFound names the first byte outside the
+  /// alphabet.
   static Result<Sequence> FromString(const Alphabet& alphabet,
                                      std::string_view text);
 

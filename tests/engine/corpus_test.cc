@@ -74,6 +74,18 @@ TEST(CorpusTest, FromLinesMissingFileIsIOError) {
   EXPECT_TRUE(Corpus::FromLines("/no/such/corpus").status().IsIOError());
 }
 
+TEST(CorpusTest, ReadFailureAfterOpenIsIOError) {
+  // A directory opens but fails to read: an IOError naming the path, not
+  // an empty corpus.
+  const std::string dir = ::testing::TempDir();
+  auto lines = Corpus::FromLines(dir);
+  ASSERT_TRUE(lines.status().IsIOError()) << lines.status().ToString();
+  EXPECT_EQ(lines.status().message(), "cannot read '" + dir + "'");
+  auto csv = Corpus::FromCsvColumn(dir, 0, /*has_header=*/false);
+  ASSERT_TRUE(csv.status().IsIOError()) << csv.status().ToString();
+  EXPECT_EQ(csv.status().message(), "cannot read '" + dir + "'");
+}
+
 TEST(CorpusTest, FromLinesStripsUtf8Bom) {
   // Editors on Windows routinely prepend a UTF-8 BOM. Left in place it
   // reaches alphabet inference, silently adding three junk symbols

@@ -89,6 +89,14 @@ TEST_F(CsvTest, EmptyLinesAreSkipped) {
   std::remove(path.c_str());
 }
 
+TEST_F(CsvTest, ReadFailureAfterOpenIsIOError) {
+  // A directory opens but fails to read; it is not an empty file.
+  const std::string dir = ::testing::TempDir();
+  auto rows = ReadCsvFile(dir);
+  ASSERT_TRUE(rows.status().IsIOError()) << rows.status().ToString();
+  EXPECT_EQ(rows.status().message(), "cannot read '" + dir + "'");
+}
+
 TEST_F(CsvTest, WriteFailsOnBadPath) {
   EXPECT_TRUE(WriteTextFile("/nonexistent_dir/file.txt", "x").IsIOError());
 }

@@ -81,6 +81,19 @@ TEST_F(MmapCorpusTest, DecodeTableAndInference) {
   EXPECT_EQ(InferAlphabetBytes(ubytes),
             engine::Corpus::InferAlphabetChars({unary}));
 
+  // The text loaders mark every record into one table: the alphabet of
+  // several records is that of their concatenation.
+  std::string joined = "cab\x80" "zz";
+  EXPECT_EQ(engine::Corpus::InferAlphabetChars({"cab", "", "\x80", "zz"}),
+            InferAlphabetBytes(std::span<const uint8_t>(
+                reinterpret_cast<const uint8_t*>(joined.data()),
+                joined.size())));
+
+  // seq::Alphabet keeps the same table the text loaders decode through.
+  ASSERT_OK_AND_ASSIGN(seq::Alphabet acgt,
+                       seq::Alphabet::FromCharacters("ACGT"));
+  EXPECT_EQ(acgt.decode_table(), decode);
+
   EXPECT_EQ(FindInvalidByte(bytes, MakeDecodeTable("abn")), -1);
   EXPECT_EQ(FindInvalidByte(bytes, MakeDecodeTable("ab")), 2);  // First 'n'.
 }

@@ -23,6 +23,8 @@ TEST(AlphabetTest, SymbolLookup) {
   EXPECT_TRUE(a.SymbolOf('X').status().IsNotFound());
   EXPECT_TRUE(a.Contains('C'));
   EXPECT_FALSE(a.Contains('x'));
+  EXPECT_EQ(a.decode_table()['T'], 3);
+  EXPECT_EQ(a.decode_table()['x'], Alphabet::kNoSymbol);
 }
 
 TEST(AlphabetTest, RejectsTooSmall) {

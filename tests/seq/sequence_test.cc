@@ -18,7 +18,10 @@ TEST(SequenceTest, FromStringRoundTrip) {
 
 TEST(SequenceTest, FromStringRejectsUnknownCharacters) {
   Alphabet a = Alphabet::Binary();
-  EXPECT_TRUE(Sequence::FromString(a, "0102").status().IsNotFound());
+  auto s = Sequence::FromString(a, "0102");
+  EXPECT_TRUE(s.status().IsNotFound());
+  // The first byte outside the alphabet is named.
+  EXPECT_EQ(s.status().message(), "character '2' not in alphabet \"01\"");
 }
 
 TEST(SequenceTest, FromSymbolsValidatesRange) {
