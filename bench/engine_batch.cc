@@ -17,10 +17,14 @@
 // calls before reporting timings, and reports single-thread numbers so
 // the cold-row speedup isolates context reuse (a multi-thread row shows
 // the additional across-queries scaling).
+//
+// A first row times the step before any of this: engine::Corpus::FromLines
+// loading a generated multi-record text corpus, reported in MB/s.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -108,6 +112,42 @@ std::vector<double> RunNaive(const engine::Corpus& corpus,
   return best;
 }
 
+constexpr char kLinesPath[] = "BENCH_engine.corpus.tmp";
+
+/// engine::Corpus::FromLines throughput in MB/s (10^6 bytes) on a
+/// generated file of at least `min_bytes`: k = 4 records of 256-1023
+/// symbols, one per line. Best of 3 loads; negative when a load fails.
+double CorpusFromLinesMbPerS(int64_t min_bytes) {
+  seq::Rng rng(20121007);
+  std::string file;
+  int64_t records = 0;
+  while (static_cast<int64_t>(file.size()) < min_bytes) {
+    uint64_t length = 256 + rng.NextBounded(768);
+    for (uint64_t i = 0; i < length; ++i) {
+      file.push_back("abcd"[rng.NextBounded(4)]);
+    }
+    file.push_back('\n');
+    ++records;
+  }
+  const double megabytes = static_cast<double>(file.size()) / 1e6;
+  if (!io::WriteTextFile(kLinesPath, file).ok()) return -1.0;
+  file = std::string();
+  double best_ms = std::numeric_limits<double>::infinity();
+  bool loaded = true;
+  for (int run = 0; run < 3; ++run) {
+    best_ms = std::min(best_ms, bench::TimeMs([&] {
+      auto corpus = engine::Corpus::FromLines(kLinesPath);
+      loaded = loaded && corpus.ok() && corpus->size() == records;
+    }));
+  }
+  std::remove(kLinesPath);
+  if (!loaded) return -1.0;
+  std::printf("Corpus::FromLines: %lld records, %.1f MB in %s: %.0f MB/s\n\n",
+              static_cast<long long>(records), megabytes,
+              bench::FormatMs(best_ms).c_str(), megabytes / (best_ms / 1e3));
+  return megabytes / (best_ms / 1e3);
+}
+
 }  // namespace
 
 int main() {
@@ -116,6 +156,14 @@ int main() {
       "corpus of planted-anomaly strings, k = 4; one job of each kind "
       "per record; timings land in BENCH_engine.json");
   bench::JsonBench json("engine");
+
+  const double load_mb_per_s = CorpusFromLinesMbPerS(
+      bench::FastMode() ? int64_t{4} << 20 : int64_t{32} << 20);
+  if (load_mb_per_s < 0.0) {
+    std::printf("Corpus::FromLines failed on the generated corpus\n");
+    return 1;
+  }
+  json.AddScalar("corpus_from_lines", "mb_per_s", load_mb_per_s);
 
   const int64_t records = bench::FastMode() ? 8 : 32;
   const int64_t n = bench::FastMode() ? 4000 : 20000;

@@ -10,8 +10,11 @@ readable table when
   * a tracked metric or its BENCH file is missing (an emitter rotted), or
   * any gate recorded by a tracked BENCH file is false.
 
-Tracked metrics are speedups (two timings from the same run), not absolute
-milliseconds, so they stay comparable across machines and load levels.
+Tracked metrics are mostly speedups (two timings from the same run), not
+absolute milliseconds, so they stay comparable across machines and load
+levels. The few absolute rates (recovered streams/s, corpus-load MB/s)
+carry baselines several times below locally measured values: they catch
+an algorithmic regression, not machine speed.
 Every BENCH file also carries a {"name": "machine"} row recording the
 measuring machine's hardware_concurrency; when it differs from the
 baseline file's recorded value the script prints a warning naming both
