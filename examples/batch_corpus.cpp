@@ -60,7 +60,7 @@ int main() {
                 static_cast<long long>(result.sequence_index),
                 static_cast<long long>(best.start),
                 static_cast<long long>(best.end), best.chi_square,
-                core::SubstringPValue(best.chi_square, 2));
+                stats::ChiSquarePValue(best.chi_square, 2));
   }
 
   // Replaying the batch hits the cache for every query — the key is the

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
         {StrFormat("[%lld, %lld)", static_cast<long long>(period.start),
                    static_cast<long long>(period.end)),
          StrFormat("%.2f", period.chi_square),
-         StrFormat("%.3g", core::SubstringPValue(period.chi_square, 2)),
+         StrFormat("%.3g", stats::ChiSquarePValue(period.chi_square, 2)),
          io::FormatPercent(static_cast<double>(period_ups) /
                            static_cast<double>(period.length()))});
   }

@@ -48,7 +48,7 @@ int main() {
   std::printf("recovered MSS:      [%lld, %lld)  X² = %.1f  p = %.3g\n",
               static_cast<long long>(mss->best.start),
               static_cast<long long>(mss->best.end), mss->best.chi_square,
-              core::SubstringPValue(mss->best.chi_square, 4));
+              stats::ChiSquarePValue(mss->best.chi_square, 4));
 
   // Base composition inside the recovered region.
   std::vector<int64_t> counts =

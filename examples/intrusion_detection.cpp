@@ -67,7 +67,7 @@ int main() {
       std::printf("  window [%6lld, %6lld)  X² = %7.1f  p = %.3g\n",
                   static_cast<long long>(incident.start),
                   static_cast<long long>(incident.end), incident.chi_square,
-                  core::SubstringPValue(incident.chi_square, 5));
+                  stats::ChiSquarePValue(incident.chi_square, 5));
     }
   }
   return 0;

@@ -65,7 +65,7 @@ int main() {
               static_cast<long long>(best.length()), best.chi_square);
 
   // 5. Its p-value under the χ²(k−1) asymptotics.
-  std::printf("p-value = %.3g\n", core::SubstringPValue(best.chi_square, 2));
+  std::printf("p-value = %.3g\n", stats::ChiSquarePValue(best.chi_square, 2));
 
   // 6. How much work the skip-based scan saved versus the trivial O(n²)
   //    algorithm.

@@ -496,7 +496,7 @@ Result<std::string> RunBatch(const CliOptions& options) {
                       std::to_string(sub.end),
                       StrFormat("%.4f", sub.chi_square),
                       StrFormat("%.4g",
-                                core::SubstringPValue(sub.chi_square, k))});
+                                stats::ChiSquarePValue(sub.chi_square, k))});
       }
     }
     out << table.Render();
@@ -516,7 +516,7 @@ Result<std::string> RunBatch(const CliOptions& options) {
                     any ? StrFormat("%.4f", best.chi_square)
                         : std::string("-"),
                     any ? StrFormat("%.4g",
-                                    core::SubstringPValue(best.chi_square, k))
+                                    stats::ChiSquarePValue(best.chi_square, k))
                         : std::string("-")});
     }
     out << table.Render();
@@ -1000,7 +1000,7 @@ std::string RenderSubstring(const core::Substring& sub, int k,
   table.AddRow({std::to_string(sub.start), std::to_string(sub.end),
                 std::to_string(sub.length()),
                 StrFormat("%.4f", sub.chi_square),
-                StrFormat("%.4g", core::SubstringPValue(sub.chi_square, k))});
+                StrFormat("%.4g", stats::ChiSquarePValue(sub.chi_square, k))});
   std::string out = table.Render();
   if (sub.length() > 0 && sub.length() <= 64) {
     out += StrCat("text: \"",
@@ -1098,7 +1098,7 @@ Result<std::string> RunMining(const CliOptions& options,
         table.AddRow({std::to_string(i + 1), std::to_string(subs[i].start),
                       std::to_string(subs[i].end),
                       StrFormat("%.4f", subs[i].chi_square),
-                      StrFormat("%.4g", core::SubstringPValue(
+                      StrFormat("%.4g", stats::ChiSquarePValue(
                                             subs[i].chi_square, k))});
       }
       out << table.Render();

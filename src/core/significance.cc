@@ -8,10 +8,6 @@
 namespace sigsub {
 namespace core {
 
-double SubstringPValue(double chi_square, int alphabet_size) {
-  return stats::ChiSquarePValue(chi_square, alphabet_size);
-}
-
 Result<ScoredSubstring> ScoreSubstring(const seq::Sequence& sequence,
                                        const seq::MultinomialModel& model,
                                        int64_t start, int64_t end) {
@@ -31,7 +27,7 @@ Result<ScoredSubstring> ScoreSubstring(const seq::Sequence& sequence,
   out.substring.end = end;
   out.substring.chi_square = stats::PearsonChiSquare(counts, model.probs());
   out.p_value =
-      SubstringPValue(out.substring.chi_square, model.alphabet_size());
+      stats::ChiSquarePValue(out.substring.chi_square, model.alphabet_size());
   out.g2 = stats::LikelihoodRatioG2(counts, model.probs());
   return out;
 }

@@ -20,9 +20,6 @@ struct ScoredSubstring {
   double g2 = 0.0;
 };
 
-/// Asymptotic p-value of an X² value for alphabet size k (>= 2).
-double SubstringPValue(double chi_square, int alphabet_size);
-
 /// Scores the substring [start, end) of `sequence` under `model`:
 /// X², p-value and G². Validates bounds and alphabet compatibility.
 Result<ScoredSubstring> ScoreSubstring(const seq::Sequence& sequence,

@@ -8,10 +8,10 @@
 
 #include "common/check.h"
 #include "common/str_util.h"
-#include "core/significance.h"
 #include "core/x2_kernel.h"
 #include "seq/prefix_counts.h"
 #include "stats/chi_squared.h"
+#include "stats/count_statistics.h"
 
 namespace sigsub {
 namespace core {
@@ -310,7 +310,7 @@ class MultinomialScorer {
   double Score(int64_t length) const {
     return kernel_.EvaluateCounts(counts_.data(), length);
   }
-  double PValue(double x2) const { return SubstringPValue(x2, k_); }
+  double PValue(double x2) const { return stats::ChiSquarePValue(x2, k_); }
 
  private:
   X2Kernel kernel_;
@@ -672,7 +672,7 @@ Result<SuffixScanResult> NaiveAllSubstringsScan(
       [&](int64_t start, int64_t end) {
         return kernel.EvaluateRange(counts, start, end);
       },
-      [&](double x2) { return SubstringPValue(x2, k); });
+      [&](double x2) { return stats::ChiSquarePValue(x2, k); });
 }
 
 Result<SuffixScanResult> NaiveAllSubstringsScanMarkov(

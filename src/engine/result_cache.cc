@@ -54,11 +54,6 @@ void ResultCache::Clear() {
   stats_ = CacheStats{};
 }
 
-void ResultCache::ResetStats() {
-  MutexLock lock(mutex_);
-  stats_ = CacheStats{};
-}
-
 std::vector<CacheEntry> ResultCache::Export() const {
   MutexLock lock(mutex_);
   std::vector<CacheEntry> entries;

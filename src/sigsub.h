@@ -12,7 +12,7 @@
 ///   auto model = sigsub::seq::MultinomialModel::Uniform(2);
 ///   auto mss = sigsub::core::FindMss(s, model);      // Problem 1
 ///   auto top = sigsub::core::FindTopT(s, model, 10); // Problem 2
-///   double p = sigsub::core::SubstringPValue(mss->best.chi_square, 2);
+///   double p = sigsub::stats::ChiSquarePValue(mss->best.chi_square, 2);
 ///
 /// Corpus-scale batch mining (engine/ + api/): run any mix of the
 /// sequence kernels over many sequences concurrently, with per-sequence

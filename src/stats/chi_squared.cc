@@ -4,19 +4,10 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/str_util.h"
 #include "stats/gamma.h"
 
 namespace sigsub {
 namespace stats {
-
-Result<ChiSquaredDistribution> ChiSquaredDistribution::Make(int dof) {
-  if (dof < 1) {
-    return Status::InvalidArgument(
-        StrCat("chi-square degrees of freedom must be >= 1, got ", dof));
-  }
-  return ChiSquaredDistribution(dof);
-}
 
 ChiSquaredDistribution::ChiSquaredDistribution(int dof) : dof_(dof) {
   SIGSUB_CHECK(dof >= 1);

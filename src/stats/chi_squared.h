@@ -1,9 +1,6 @@
 #ifndef SIGSUB_STATS_CHI_SQUARED_H_
 #define SIGSUB_STATS_CHI_SQUARED_H_
 
-#include "common/result.h"
-#include "common/status.h"
-
 namespace sigsub {
 namespace stats {
 
@@ -14,10 +11,7 @@ namespace stats {
 /// p-value of an observed X² value z is Sf(z) = 1 − Cdf(z).
 class ChiSquaredDistribution {
  public:
-  /// Creates a distribution; fails unless `dof` >= 1.
-  static Result<ChiSquaredDistribution> Make(int dof);
-
-  /// Direct constructor; requires dof >= 1 (checked).
+  /// Requires dof >= 1 (checked).
   explicit ChiSquaredDistribution(int dof);
 
   int dof() const { return dof_; }

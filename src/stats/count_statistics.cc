@@ -54,12 +54,6 @@ Status ValidateCountsAndProbs(std::span<const int64_t> counts,
   return Status::OK();
 }
 
-Result<double> PearsonChiSquareChecked(std::span<const int64_t> counts,
-                                       std::span<const double> probs) {
-  SIGSUB_RETURN_IF_ERROR(ValidateCountsAndProbs(counts, probs));
-  return PearsonChiSquare(counts, probs);
-}
-
 double LikelihoodRatioG2(std::span<const int64_t> counts,
                          std::span<const double> probs) {
   SIGSUB_DCHECK(counts.size() == probs.size());
@@ -74,12 +68,6 @@ double LikelihoodRatioG2(std::span<const int64_t> counts,
     sum += y * std::log(y / (dl * probs[i]));
   }
   return 2.0 * sum;
-}
-
-Result<double> LikelihoodRatioG2Checked(std::span<const int64_t> counts,
-                                        std::span<const double> probs) {
-  SIGSUB_RETURN_IF_ERROR(ValidateCountsAndProbs(counts, probs));
-  return LikelihoodRatioG2(counts, probs);
 }
 
 double ChiSquarePValue(double x2, int alphabet_size) {

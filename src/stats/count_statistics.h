@@ -18,24 +18,16 @@ namespace stats {
 
 /// Pearson X² = Σ (Y_i − l·p_i)² / (l·p_i) = Σ Y_i²/(l·p_i) − l,
 /// where l = Σ Y_i. Returns 0 for the empty count vector (l = 0).
-/// Requires counts.size() == probs.size() and p_i > 0 (unchecked hot path;
-/// use PearsonChiSquareChecked for validated input).
+/// Requires counts.size() == probs.size() and p_i > 0 (unchecked hot
+/// path; ValidateCountsAndProbs checks a pair).
 double PearsonChiSquare(std::span<const int64_t> counts,
                         std::span<const double> probs);
-
-/// Validated version of PearsonChiSquare.
-Result<double> PearsonChiSquareChecked(std::span<const int64_t> counts,
-                                       std::span<const double> probs);
 
 /// Likelihood-ratio statistic G² = −2 ln LR = 2 Σ Y_i ln(Y_i / (l·p_i)),
 /// with the convention 0·ln(0) = 0. Converges to the same χ²(k−1) limit as
 /// X² (from above, while X² converges from below — paper Section 1).
 double LikelihoodRatioG2(std::span<const int64_t> counts,
                          std::span<const double> probs);
-
-/// Validated version of LikelihoodRatioG2.
-Result<double> LikelihoodRatioG2Checked(std::span<const int64_t> counts,
-                                        std::span<const double> probs);
 
 /// Asymptotic p-value of an observed statistic value `x2` over an alphabet
 /// of size k: 1 − F_{χ²(k−1)}(x2).
@@ -45,7 +37,8 @@ double ChiSquarePValue(double x2, int alphabet_size);
 /// the natural way to pick the threshold α₀ for Problem 3.
 double ChiSquareThresholdForPValue(double alpha, int alphabet_size);
 
-/// Validates a count/probability pair; shared by the Checked entry points.
+/// Validates a count/probability pair: equal non-zero lengths, counts
+/// >= 0, each p_i in (0, 1] and Σ p_i = 1 (to 1e-9).
 Status ValidateCountsAndProbs(std::span<const int64_t> counts,
                               std::span<const double> probs);
 

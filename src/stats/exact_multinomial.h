@@ -17,7 +17,7 @@ namespace stats {
 /// paper adopts the asymptotic χ² approximation). No query path calls this
 /// module: it is kept as the exact reference for that approximation, so
 /// tests can check the direction and accuracy of the live p-value
-/// (core::SubstringPValue) in the small-(l, k) regime.
+/// (stats::ChiSquarePValue) in the small-(l, k) regime.
 
 /// ln P(C = β) for a configuration β = {Y_1..Y_k}: l! Π p_i^{Y_i} / Y_i!
 /// (paper Eq. 1).

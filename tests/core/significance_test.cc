@@ -7,23 +7,11 @@
 #include "seq/alphabet.h"
 #include "seq/generators.h"
 #include "seq/rng.h"
-#include "stats/chi_squared.h"
 #include "testing/test_util.h"
 
 namespace sigsub {
 namespace core {
 namespace {
-
-TEST(SubstringPValueTest, MatchesChiSquareSurvival) {
-  stats::ChiSquaredDistribution d1(1);
-  EXPECT_DOUBLE_EQ(SubstringPValue(16.2, 2), d1.Sf(16.2));
-  stats::ChiSquaredDistribution d4(4);
-  EXPECT_DOUBLE_EQ(SubstringPValue(7.0, 5), d4.Sf(7.0));
-}
-
-TEST(SubstringPValueTest, ZeroStatisticHasPValueOne) {
-  EXPECT_DOUBLE_EQ(SubstringPValue(0.0, 2), 1.0);
-}
 
 TEST(ScoreSubstringTest, CoinExample) {
   // "1111111111111111111 0": 19 ones and 1 zero under a fair model.

@@ -153,7 +153,7 @@ TEST(PipelineTest, PValueAnnotationFlagsPlantedAnomalyOnly) {
   seq::Sequence null_string = seq::GenerateNull(2, 10200, rng2);
   auto null_mss = core::FindMss(null_string, model);
   ASSERT_TRUE(null_mss.ok());
-  EXPECT_GT(core::SubstringPValue(null_mss->best.chi_square, 2), 1e-12);
+  EXPECT_GT(stats::ChiSquarePValue(null_mss->best.chi_square, 2), 1e-12);
 }
 
 TEST(PipelineTest, GrowthOfX2MaxTracksTwoLnN) {

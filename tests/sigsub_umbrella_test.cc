@@ -39,7 +39,7 @@ TEST(UmbrellaTest, EverySubsystemIsReachable) {
   EXPECT_EQ(core::TrivialScanPositions(4), 10);
   auto mss = core::FindMss(sequence, model);
   ASSERT_TRUE(mss.ok());
-  EXPECT_LE(core::SubstringPValue(mss->best.chi_square, 2), 1.0);
+  EXPECT_LE(stats::ChiSquarePValue(mss->best.chi_square, 2), 1.0);
   EXPECT_TRUE(core::FindTopT(sequence, model, 2).ok());
   EXPECT_TRUE(core::FindAboveThreshold(sequence, model, 1e6).ok());
   EXPECT_TRUE(core::FindMssMinLength(sequence, model, 2).ok());

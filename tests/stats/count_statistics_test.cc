@@ -73,16 +73,6 @@ TEST(ValidateCountsAndProbsTest, CatchesBadInput) {
       ValidateCountsAndProbs(std::vector<int64_t>{1, 2}, probs).ok());
 }
 
-TEST(PearsonChiSquareCheckedTest, PropagatesValidation) {
-  auto bad = PearsonChiSquareChecked(std::vector<int64_t>{1},
-                                     std::vector<double>{0.5, 0.5});
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  auto good = PearsonChiSquareChecked(std::vector<int64_t>{19, 1},
-                                      std::vector<double>{0.5, 0.5});
-  ASSERT_TRUE(good.ok());
-  EXPECT_NEAR(good.value(), 16.2, 1e-12);
-}
-
 TEST(LikelihoodRatioTest, ZeroWhenCountsMatchExpectation) {
   std::vector<int64_t> counts{25, 25};
   std::vector<double> probs{0.5, 0.5};
@@ -126,6 +116,15 @@ TEST(ChiSquarePValueTest, MatchesDistribution) {
   EXPECT_NEAR(ChiSquarePValue(16.2, 2), d.Sf(16.2), 1e-15);
   // p-value of 3.84 with 1 dof is ~0.05.
   EXPECT_NEAR(ChiSquarePValue(3.841458820694124, 2), 0.05, 1e-9);
+}
+
+TEST(ChiSquarePValueTest, IsTheSurvivalFunctionBitForBit) {
+  EXPECT_EQ(ChiSquarePValue(16.2, 2), ChiSquaredDistribution(1).Sf(16.2));
+  EXPECT_EQ(ChiSquarePValue(7.0, 5), ChiSquaredDistribution(4).Sf(7.0));
+}
+
+TEST(ChiSquarePValueTest, ZeroStatisticHasPValueOne) {
+  EXPECT_DOUBLE_EQ(ChiSquarePValue(0.0, 2), 1.0);
 }
 
 TEST(ChiSquarePValueTest, MonotoneDecreasingInStatistic) {

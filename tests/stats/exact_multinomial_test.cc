@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/significance.h"
 #include "gtest/gtest.h"
 #include "stats/count_statistics.h"
 
@@ -69,7 +68,7 @@ TEST(ExactPValueTest, MostLikelyOutcomeHasLargePValue) {
 }
 
 // One observed configuration with its null probabilities. The asymptotic
-// side of each comparison is core::SubstringPValue, the p-value the query
+// side of each comparison is stats::ChiSquarePValue, the p-value the query
 // reports print.
 struct PValueCase {
   std::vector<int64_t> observed;
@@ -89,7 +88,7 @@ TEST(ExactPValueTest, AgreesWithChiSquareAsymptoticsAtModerateSize) {
     ASSERT_TRUE(exact.ok());
     double x2 = PearsonChiSquare(c.observed, c.probs);
     double asymptotic =
-        core::SubstringPValue(x2, static_cast<int>(c.probs.size()));
+        stats::ChiSquarePValue(x2, static_cast<int>(c.probs.size()));
     EXPECT_GT(exact.value(), 0.0) << c.probs.size();
     EXPECT_LT(std::fabs(exact.value() - asymptotic) / asymptotic, 0.35)
         << c.probs.size();
@@ -114,7 +113,7 @@ TEST(ExactPValueTest, ChiSquareApproximationConvergesFromBelow) {
     auto exact = ExactMultinomialPValue(c.observed, c.probs);
     ASSERT_TRUE(exact.ok());
     double x2 = PearsonChiSquare(c.observed, c.probs);
-    double asym = core::SubstringPValue(x2, static_cast<int>(c.probs.size()));
+    double asym = stats::ChiSquarePValue(x2, static_cast<int>(c.probs.size()));
     // Exact discrete tail is within a factor ~2 of the asymptotic value.
     EXPECT_LT(exact.value(), 2.0 * asym + 1e-9) << c.observed[0];
     EXPECT_GT(exact.value(), 0.2 * asym) << c.observed[0];
