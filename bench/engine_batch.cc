@@ -131,7 +131,7 @@ double CorpusFromLinesMbPerS(int64_t min_bytes) {
   }
   const double megabytes = static_cast<double>(file.size()) / 1e6;
   if (!io::WriteTextFile(kLinesPath, file).ok()) return -1.0;
-  file = std::string();
+  file = std::string();  // Free the generator's copy before the loads.
   double best_ms = std::numeric_limits<double>::infinity();
   bool loaded = true;
   for (int run = 0; run < 3; ++run) {

@@ -18,10 +18,6 @@ void StripTrailingCr(std::string* line) {
   while (!line->empty() && line->back() == '\r') line->pop_back();
 }
 
-std::span<const uint8_t> AsBytes(std::string_view text) {
-  return {reinterpret_cast<const uint8_t*>(text.data()), text.size()};
-}
-
 /// Strips a leading UTF-8 byte-order mark. Editors on Windows routinely
 /// prepend one; left in place it reaches alphabet inference and silently
 /// adds three junk symbols (EF BB BF), shrinking every p_c and skewing
@@ -222,7 +218,9 @@ std::string Corpus::InferAlphabetChars(
     const std::vector<std::string>& records) {
   io::BytePresence present{};
   for (const std::string& record : records) {
-    io::MarkPresentBytes(AsBytes(record), &present);
+    io::MarkPresentBytes(
+        {reinterpret_cast<const uint8_t*>(record.data()), record.size()},
+        &present);
   }
   return io::AlphabetFromPresence(present);
 }

@@ -174,7 +174,9 @@ void ExpectShape(const Result<Corpus>& corpus, const LoadedShape& expected,
   ASSERT_TRUE(corpus.ok()) << loader << ": " << corpus.status().ToString();
   LoadedShape actual = ShapeOf(*corpus);
   EXPECT_EQ(actual.alphabet, expected.alphabet) << loader;
-  if (!corpus->is_mapped()) EXPECT_EQ(actual.texts, expected.texts) << loader;
+  if (!corpus->is_mapped()) {
+    EXPECT_EQ(actual.texts, expected.texts) << loader;
+  }
   EXPECT_EQ(actual.sizes, expected.sizes) << loader;
   EXPECT_EQ(actual.source_indices, expected.source_indices) << loader;
   EXPECT_EQ(actual.fingerprints, expected.fingerprints) << loader;
