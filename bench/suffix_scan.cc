@@ -213,7 +213,7 @@ int64_t SuffixChild() {
   auto mapped = io::MappedFile::Open(kCorpusPath);
   if (!mapped.ok()) return -1;
   mapped.value().AdviseSequential();
-  auto decode = io::MakeDecodeTable(kAlphabet);
+  auto decode = seq::Alphabet::FromCharacters(kAlphabet)->decode_table();
   auto scan =
       core::SuffixScan::BuildMapped(mapped.value().bytes(), decode, kBigK);
   if (!scan.ok()) return -1;
@@ -232,7 +232,7 @@ int64_t PositionLayoutChild() {
   auto mapped = io::MappedFile::Open(kCorpusPath);
   if (!mapped.ok()) return -1;
   mapped.value().AdviseSequential();
-  auto decode = io::MakeDecodeTable(kAlphabet);
+  auto decode = seq::Alphabet::FromCharacters(kAlphabet)->decode_table();
   auto counts =
       seq::PrefixCounts::FromBytes(mapped.value().bytes(), decode, kBigK);
   if (!counts.ok()) return -1;
@@ -315,7 +315,7 @@ int main() {
       return 1;
     }
     mapped.value().AdviseSequential();
-    auto decode = io::MakeDecodeTable(kAlphabet);
+    auto decode = seq::Alphabet::FromCharacters(kAlphabet)->decode_table();
     core::ChiSquareContext ctx(seq::MultinomialModel::Uniform(kBigK));
     int64_t classes = 0;
     double build_ms = 0.0;

@@ -143,12 +143,15 @@ Result<Corpus> Corpus::FromMappedFile(const std::string& path,
     return Status::InvalidArgument("corpus has no non-empty records");
   }
 
-  std::string chars =
-      alphabet_chars.empty() ? io::InferAlphabetBytes(record) : alphabet_chars;
+  std::string chars = alphabet_chars;
+  if (chars.empty()) {
+    io::BytePresence present{};
+    io::MarkPresentBytes(record, &present);
+    chars = io::AlphabetFromPresence(present);
+  }
   SIGSUB_ASSIGN_OR_RETURN(seq::Alphabet alphabet,
                           seq::Alphabet::FromCharacters(chars));
-  std::array<uint8_t, 256> decode =
-      io::MakeDecodeTable(alphabet.characters());
+  const std::array<seq::Symbol, 256>& decode = alphabet.decode_table();
   if (!alphabet_chars.empty()) {
     // Inferred alphabets cover every present byte by construction; a
     // pinned one must be checked.
@@ -177,7 +180,6 @@ Result<Corpus> Corpus::FromMappedFile(const std::string& path,
   Corpus corpus(std::move(alphabet), {}, {}, {});
   corpus.mapped_ = std::make_shared<io::MappedFile>(std::move(file));
   corpus.mapped_record_ = record;
-  corpus.decode_ = decode;
   corpus.mapped_fingerprint_ = hasher.Digest();
   return corpus;
 }
@@ -202,16 +204,17 @@ seq::PrefixCounts Corpus::BuildPrefixCounts(int64_t index) const {
   if (!is_mapped()) return seq::PrefixCounts(sequence(index));
   // The bytes were validated against the alphabet at load, so the build
   // cannot fail.
-  return seq::PrefixCounts::FromBytes(mapped_record_, decode_,
+  return seq::PrefixCounts::FromBytes(mapped_record_, decode_table(),
                                       alphabet_.size())
       .value();
 }
 
 Result<core::SuffixScan> Corpus::BuildSuffixScan(int64_t index) const {
   const int k = alphabet_.size();
-  return is_mapped()
-             ? core::SuffixScan::BuildMapped(mapped_record_, decode_, k)
-             : core::SuffixScan::Build(sequence(index).symbols(), k);
+  if (is_mapped()) {
+    return core::SuffixScan::BuildMapped(mapped_record_, decode_table(), k);
+  }
+  return core::SuffixScan::Build(sequence(index).symbols(), k);
 }
 
 std::string Corpus::InferAlphabetChars(

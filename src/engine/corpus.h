@@ -90,11 +90,14 @@ class Corpus {
   }
 
   /// Mapped-corpus surface (FromMappedFile). The record is the mapped
-  /// bytes; decode_table() translates byte -> symbol (io::kInvalidByte
-  /// never occurs — bytes were validated at load).
+  /// bytes; decode_table() is the alphabet's byte -> symbol table
+  /// (seq::Alphabet::kNoSymbol never occurs — bytes were validated at
+  /// load).
   bool is_mapped() const { return mapped_ != nullptr; }
   std::span<const uint8_t> mapped_record() const { return mapped_record_; }
-  const std::array<uint8_t, 256>& decode_table() const { return decode_; }
+  const std::array<seq::Symbol, 256>& decode_table() const {
+    return alphabet_.decode_table();
+  }
 
   // Record accessors: the one place that chooses between the mapped
   // bytes and a decoded sequence, so callers never branch on is_mapped().
@@ -137,7 +140,6 @@ class Corpus {
   // itself is immutable and read-only after load.
   std::shared_ptr<io::MappedFile> mapped_;
   std::span<const uint8_t> mapped_record_;
-  std::array<uint8_t, 256> decode_{};
   uint64_t mapped_fingerprint_ = 0;
 };
 

@@ -77,16 +77,6 @@ void MappedFile::AdviseSequential() const {
   if (data_ != nullptr) ::madvise(data_, size_, MADV_SEQUENTIAL);
 }
 
-std::array<uint8_t, 256> MakeDecodeTable(std::string_view alphabet_chars) {
-  std::array<uint8_t, 256> decode;
-  decode.fill(kInvalidByte);
-  for (size_t s = 0; s < alphabet_chars.size(); ++s) {
-    decode[static_cast<uint8_t>(alphabet_chars[s])] =
-        static_cast<uint8_t>(s);
-  }
-  return decode;
-}
-
 void MarkPresentBytes(std::span<const uint8_t> bytes, BytePresence* present) {
   for (size_t offset = 0; offset < bytes.size(); offset += kChunkBytes) {
     size_t end = std::min(bytes.size(), offset + kChunkBytes);
@@ -104,18 +94,14 @@ std::string AlphabetFromPresence(const BytePresence& present) {
   return chars;
 }
 
-std::string InferAlphabetBytes(std::span<const uint8_t> bytes) {
-  BytePresence present{};
-  MarkPresentBytes(bytes, &present);
-  return AlphabetFromPresence(present);
-}
-
 int64_t FindInvalidByte(std::span<const uint8_t> bytes,
                         const std::array<uint8_t, 256>& decode) {
   for (size_t offset = 0; offset < bytes.size(); offset += kChunkBytes) {
     size_t end = std::min(bytes.size(), offset + kChunkBytes);
     for (size_t i = offset; i < end; ++i) {
-      if (decode[bytes[i]] == kInvalidByte) return static_cast<int64_t>(i);
+      if (decode[bytes[i]] == seq::Alphabet::kNoSymbol) {
+        return static_cast<int64_t>(i);
+      }
     }
   }
   return -1;

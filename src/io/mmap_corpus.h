@@ -47,15 +47,6 @@ class MappedFile {
   std::string path_;
 };
 
-/// Byte -> symbol translation table for mining mapped bytes in place:
-/// decode[b] is the symbol id of byte b, or kInvalidByte for bytes outside
-/// the alphabet — the layout of seq::Alphabet::decode_table().
-inline constexpr uint8_t kInvalidByte = seq::Alphabet::kNoSymbol;
-
-/// Builds the decode table of an alphabet given as its character string
-/// (seq::Alphabet::characters() order: decode[chars[s]] = s).
-std::array<uint8_t, 256> MakeDecodeTable(std::string_view alphabet_chars);
-
 /// Alphabet inference, shared by every loader (engine::Corpus's text and
 /// mapped loaders, the CLI's --string path): mark the bytes each record
 /// holds in one table, then read the alphabet off the table.
@@ -71,12 +62,9 @@ void MarkPresentBytes(std::span<const uint8_t> bytes, BytePresence* present);
 /// lone '0'. Empty when nothing is marked.
 std::string AlphabetFromPresence(const BytePresence& present);
 
-/// MarkPresentBytes then AlphabetFromPresence over one record.
-std::string InferAlphabetBytes(std::span<const uint8_t> bytes);
-
-/// Returns the offset of the first byte of `bytes` whose decode entry is
-/// kInvalidByte, or -1 when every byte is in the alphabet. Streams in
-/// chunks.
+/// Returns the offset of the first byte of `bytes` whose entry in `decode`
+/// (a seq::Alphabet::decode_table()) is seq::Alphabet::kNoSymbol, or -1
+/// when every byte is in the alphabet. Streams in chunks.
 int64_t FindInvalidByte(std::span<const uint8_t> bytes,
                         const std::array<uint8_t, 256>& decode);
 

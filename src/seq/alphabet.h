@@ -50,8 +50,8 @@ class Alphabet {
   const std::string& characters() const { return chars_; }
 
   /// Byte -> symbol table: decode_table()[b] is the symbol of byte b, or
-  /// kNoSymbol. Entry for entry the table io::MakeDecodeTable builds from
-  /// characters().
+  /// kNoSymbol. Text records decode through it (Sequence::FromString), and
+  /// mapped bytes are mined in place through it.
   const std::array<Symbol, 256>& decode_table() const { return decode_; }
 
  private:

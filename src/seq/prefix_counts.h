@@ -49,7 +49,7 @@ class PrefixCounts {
 
   /// Chunk-streamed construction over raw (e.g. memory-mapped) bytes:
   /// `decode` maps each byte to its symbol id, with 0xFF marking bytes
-  /// outside the alphabet (io::kInvalidByte; rejected with the offending
+  /// outside the alphabet (Alphabet::kNoSymbol; rejected with the offending
   /// offset). Equivalent to decoding the bytes into a Sequence and using
   /// the constructor above, but never materializes the decoded copy —
   /// the transient working set is one chunk of the source plus the counts

@@ -141,7 +141,6 @@ TEST(CorpusTest, FromCsvColumnValidates) {
   std::remove(path.c_str());
 }
 
-
 // ---------------------------------------------------------------------------
 // Loader equivalence, pinned byte for byte: every value below was captured
 // from the loaders as they stood before the text loaders were rebuilt

@@ -1,7 +1,10 @@
 #include "io/mmap_corpus.h"
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/chi_square.h"
@@ -17,6 +20,11 @@
 namespace sigsub {
 namespace io {
 namespace {
+
+// The byte -> symbol table of the alphabet spelled by `chars`.
+std::array<uint8_t, 256> DecodeTable(std::string_view chars) {
+  return seq::Alphabet::FromCharacters(chars)->decode_table();
+}
 
 class MmapCorpusTest : public ::testing::Test {
  protected:
@@ -60,42 +68,27 @@ TEST_F(MmapCorpusTest, EmptyAndMissingFiles) {
 }
 
 TEST_F(MmapCorpusTest, DecodeTableAndInference) {
-  std::array<uint8_t, 256> decode = MakeDecodeTable("ACGT");
+  std::array<uint8_t, 256> decode = DecodeTable("ACGT");
   EXPECT_EQ(decode['A'], 0);
   EXPECT_EQ(decode['C'], 1);
   EXPECT_EQ(decode['G'], 2);
   EXPECT_EQ(decode['T'], 3);
-  EXPECT_EQ(decode['X'], kInvalidByte);
-  EXPECT_EQ(decode[0], kInvalidByte);
+  EXPECT_EQ(decode['X'], seq::Alphabet::kNoSymbol);
+  EXPECT_EQ(decode[0], seq::Alphabet::kNoSymbol);
+
+  // The inference rule every loader shares: distinct bytes in `char`
+  // order, a unary alphabet padded, several records marked into one table.
+  EXPECT_EQ(engine::Corpus::InferAlphabetChars({"banana"}), "abn");
+  EXPECT_EQ(engine::Corpus::InferAlphabetChars({"aaaa"}), "a0");
+  EXPECT_EQ(engine::Corpus::InferAlphabetChars({"0000"}), "01");
+  EXPECT_EQ(engine::Corpus::InferAlphabetChars({"cab", "", "\x80", "zz"}),
+            "\x80" "abcz");
 
   std::string text = "banana";
   std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(text.data()),
                                  text.size());
-  // Must match the text-path inference rule exactly.
-  EXPECT_EQ(InferAlphabetBytes(bytes),
-            engine::Corpus::InferAlphabetChars({text}));
-
-  std::string unary = "aaaa";
-  std::span<const uint8_t> ubytes(
-      reinterpret_cast<const uint8_t*>(unary.data()), unary.size());
-  EXPECT_EQ(InferAlphabetBytes(ubytes),
-            engine::Corpus::InferAlphabetChars({unary}));
-
-  // The text loaders mark every record into one table: the alphabet of
-  // several records is that of their concatenation.
-  std::string joined = "cab\x80" "zz";
-  EXPECT_EQ(engine::Corpus::InferAlphabetChars({"cab", "", "\x80", "zz"}),
-            InferAlphabetBytes(std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(joined.data()),
-                joined.size())));
-
-  // seq::Alphabet keeps the same table the text loaders decode through.
-  ASSERT_OK_AND_ASSIGN(seq::Alphabet acgt,
-                       seq::Alphabet::FromCharacters("ACGT"));
-  EXPECT_EQ(acgt.decode_table(), decode);
-
-  EXPECT_EQ(FindInvalidByte(bytes, MakeDecodeTable("abn")), -1);
-  EXPECT_EQ(FindInvalidByte(bytes, MakeDecodeTable("ab")), 2);  // First 'n'.
+  EXPECT_EQ(FindInvalidByte(bytes, DecodeTable("abn")), -1);
+  EXPECT_EQ(FindInvalidByte(bytes, DecodeTable("ab")), 2);  // First 'n'.
 }
 
 TEST_F(MmapCorpusTest, PrefixCountsFromBytesMatchesSequenceBuild) {
@@ -110,7 +103,7 @@ TEST_F(MmapCorpusTest, PrefixCountsFromBytesMatchesSequenceBuild) {
                                  text.size());
   ASSERT_OK_AND_ASSIGN(
       seq::PrefixCounts streamed,
-      seq::PrefixCounts::FromBytes(bytes, MakeDecodeTable("imps"), 4));
+      seq::PrefixCounts::FromBytes(bytes, DecodeTable("imps"), 4));
   ASSERT_EQ(streamed.sequence_size(), reference.sequence_size());
   ASSERT_EQ(streamed.alphabet_size(), reference.alphabet_size());
   for (int64_t pos = 0; pos <= reference.sequence_size(); ++pos) {
@@ -120,7 +113,7 @@ TEST_F(MmapCorpusTest, PrefixCountsFromBytesMatchesSequenceBuild) {
   }
 
   // Bytes outside the table are rejected with the offending offset.
-  auto bad = seq::PrefixCounts::FromBytes(bytes, MakeDecodeTable("imp"), 3);
+  auto bad = seq::PrefixCounts::FromBytes(bytes, DecodeTable("imp"), 3);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("offset 2"), std::string::npos);
 }

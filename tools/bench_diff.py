@@ -13,8 +13,9 @@ readable table when
 Tracked metrics are mostly speedups (two timings from the same run), not
 absolute milliseconds, so they stay comparable across machines and load
 levels. The few absolute rates (recovered streams/s, corpus-load MB/s)
-carry baselines several times below locally measured values: they catch
-an algorithmic regression, not machine speed.
+are marked "absolute": true in the baseline file and carry baselines
+several times below locally measured values: they catch an algorithmic
+regression, not machine speed.
 Every BENCH file also carries a {"name": "machine"} row recording the
 measuring machine's hardware_concurrency; when it differs from the
 baseline file's recorded value the script prints a warning naming both
@@ -27,7 +28,9 @@ is refreshed from the measured value, discounted by --write-margin
 writing the exact machine-local number would turn shared-runner timing
 noise into CI failures, which is the flake the margin exists to absorb.
 Refreshing after a deliberate perf change is thus one command instead of
-hand-edited JSON. Regressions do not fail a write run — they are what the
+hand-edited JSON. Entries marked "absolute" keep their baseline: 85% of
+a rate measured on a fast machine would fail every slower runner, so an
+absolute floor is only ever edited by hand. Regressions do not fail a write run — they are what the
 write exists to record. The write is refused (exit 1) only when a tracked
 metric's BENCH file or row is missing, or when a bench recorded a failing
 correctness gate: numbers from a run that failed its own gates would bake
@@ -81,8 +84,9 @@ def main():
     parser.add_argument(
         "--write-baseline",
         action="store_true",
-        help="update every tracked entry's baseline to its measured value "
-        "discounted by --write-margin, and rewrite the baseline file "
+        help="update every tracked entry's baseline, except those marked "
+        '"absolute", to its measured value discounted by --write-margin, '
+        "and rewrite the baseline file "
         "(regressions do not fail the run; missing files/metrics and "
         "failing gates do)",
     )
@@ -172,7 +176,12 @@ def main():
             failures += 1
             continue
         value = float(row[metric])
-        if args.write_baseline:
+        if args.write_baseline and tracked.get("absolute"):
+            status = "baseline %.2f kept (absolute rate, measured %.2f)" % (
+                base,
+                value,
+            )
+        elif args.write_baseline:
             tracked["baseline"] = round(value * (1.0 - args.write_margin), 2)
             status = "baseline %.2f -> %.2f (measured %.2f - %d%% margin)" % (
                 base,
